@@ -14,8 +14,9 @@ from dataclasses import replace
 
 from repro.apps.mplayer import deploy_mplayer
 from repro.coordination.mplayer_policy import STAGE_BITRATE, STAGE_OFF
-from repro.experiments import Job, render_table, run_jobs
+from repro.experiments import render_table
 from repro.experiments.mplayer import TRIGGER_DURATION, TRIGGER_WARMUP, trigger_config
+from repro.parallel import Job, run_jobs
 
 from _shared import emit
 

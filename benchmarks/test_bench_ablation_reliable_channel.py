@@ -15,7 +15,8 @@ and a swept retry budget. Three findings are asserted:
 """
 
 from repro.apps.rubis import RubisConfig
-from repro.experiments import Job, render_table, run_jobs, run_rubis
+from repro.experiments import render_table, run_rubis
+from repro.parallel import Job, run_jobs
 from repro.sim import seconds
 from repro.testbed import ChannelConfig, TestbedConfig
 

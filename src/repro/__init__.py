@@ -26,8 +26,7 @@ or run a whole paper experiment::
     print(render_table1(pair))
 """
 
-from .platform import EntityId, GlobalController, Island
-from .shard import ShardConfig
+from .platform import EntityId, Island
 from .testbed import (
     ChannelConfig,
     ClientHost,
@@ -43,10 +42,8 @@ __all__ = [
     "ChannelConfig",
     "ClientHost",
     "EntityId",
-    "GlobalController",
     "Island",
     "FabricTestbed",
-    "ShardConfig",
     "Testbed",
     "TestbedConfig",
     "build_testbed",

@@ -170,10 +170,6 @@ def cmd_trace(args) -> None:
     _emit(render_control_loops(result))
 
 
-#: Back-compat view of the registry (older tooling imported this table).
-COMMANDS = {exp.name: exp.run for exp in all_experiments()}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",

@@ -74,15 +74,6 @@ from .power import (
 )
 from .registry import Experiment, all_experiments, experiment, get, names, register
 from .report import percent_change, render_bars, render_minmax, render_series, render_table
-from .runner import (
-    ExecutionPlan,
-    Job,
-    Sweep,
-    default_workers,
-    parallelism_enabled,
-    plan_execution,
-    run_jobs,
-)
 from .rubis import (
     RubisPairResult,
     RubisRunResult,
@@ -103,9 +94,6 @@ from .trace import (
 
 __all__ = [
     "ChaosArmResult",
-    "ExecutionPlan",
-    "Job",
-    "Sweep",
     "DEFAULT_TRACE_DURATION",
     "Experiment",
     "chaos_config",
@@ -146,8 +134,6 @@ __all__ = [
     "run_energy_qos_arm",
     "run_power_cap",
     "run_power_cap_arm",
-    "default_workers",
-    "parallelism_enabled",
     "percent_change",
     "names",
     "register",
@@ -165,8 +151,6 @@ __all__ = [
     "render_table1",
     "render_table2",
     "render_table3",
-    "plan_execution",
-    "run_jobs",
     "run_chaos_arm",
     "run_chaos_sweep",
     "run_traced_rubis",

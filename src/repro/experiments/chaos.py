@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 from ..apps.rubis import WEB_VM, RubisConfig, deploy_rubis
 from ..faults import ChannelBlackout, FaultConfig, FaultPlan
+from ..parallel import Job, Sweep
 from ..platform import EntityId
 from ..sim import ms, seconds
 from ..testbed import ChannelConfig, TestbedConfig
 from .report import render_table
-from .runner import Job, Sweep
 
 #: Swept blackout durations (ns).
 DEFAULT_BLACKOUTS = (ms(500), seconds(1), seconds(2))

@@ -112,7 +112,7 @@ def run_fabric_arm(
     report_counts: dict[str, int] = {name: 0 for name in names}
 
     for index, name in enumerate(names):
-        island = testbed.island(name)
+        island = testbed.islands[name]
         probe_vm = island.create_vm("probe")
         hog_vms = [island.create_vm(f"hog-{h}") for h in range(2)]
         probe_stats[name] = OnlineStats()
@@ -140,7 +140,7 @@ def run_fabric_arm(
         for hog_vm in hog_vms:
             sim.spawn(hog_loop(sim, hog_vm), name=f"hog-{name}")
 
-    by_name = {name: testbed.island(name) for name in names}
+    by_name = {name: testbed.islands[name] for name in names}
 
     def _reset_recent(name: str) -> float:
         mean = recent[name].mean if recent[name].count else 0.0

@@ -13,11 +13,11 @@ from ..apps.mplayer import (
     deploy_mplayer,
 )
 from ..coordination.mplayer_policy import STAGE_BITRATE, STAGE_FRAMERATE
+from ..parallel import Job, run_jobs
 from ..sim import ms, seconds
 from ..testbed import TestbedConfig
 from ..x86 import X86Params
 from .report import percent_change, render_series, render_table
-from .runner import Job, run_jobs
 
 #: Per-stage measured window of the Figure 6 ladder.
 QOS_STAGE_DURATION = seconds(25)

@@ -13,10 +13,10 @@ from typing import Optional
 from ..apps.rubis import REQUEST_TYPES, RubisConfig, deploy_rubis
 from ..apps.rubis.setup import APP_VM, DB_VM, WEB_VM
 from ..metrics import Summary, platform_efficiency
+from ..parallel import Job, run_jobs
 from ..sim import seconds
 from ..x86.island import DOM0_NAME
 from .report import percent_change, render_bars, render_minmax, render_table
-from .runner import Job, run_jobs
 
 #: Default measured duration of one arm (after its internal warmup).
 DEFAULT_DURATION = seconds(80)
@@ -131,7 +131,7 @@ def run_rubis_pair(
     """Run both arms on the same seed, side by side on a multicore host.
 
     The arms are independent simulators, so the pair fans out through
-    :mod:`repro.experiments.runner`; ``parallel=False`` forces the serial
+    :mod:`repro.parallel`; ``parallel=False`` forces the serial
     path (the results are identical either way).
     """
     shared = dict(duration=duration, seed=seed, config=config, fastpath=fastpath)

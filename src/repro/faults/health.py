@@ -120,7 +120,6 @@ class FailureDetector:
         self._last_heartbeat_at = sim.now
         self._last_frames_acked = 0
         self._seq = 0
-        self._on_down: list = []
         self._on_up: list = []
         # Heartbeats always ride the raw mailbox (datagram semantics).
         self._wire = getattr(agent.endpoint, "raw", agent.endpoint)
@@ -149,10 +148,6 @@ class FailureDetector:
     @property
     def is_down(self) -> bool:
         return self.state == PEER_DOWN
-
-    def on_down(self, callback) -> None:
-        """Run ``callback()`` whenever the peer transitions to DOWN."""
-        self._on_down.append(callback)
 
     def on_up(self, callback) -> None:
         """Run ``callback()`` on recovery (DOWN -> UP), after the epoch
@@ -277,8 +272,6 @@ class FailureDetector:
             )
         if new_state == PEER_DOWN:
             self.agent.revert_to_baselines(f"peer-down:{reason}")
-            for callback in self._on_down:
-                callback()
         elif new_state == PEER_UP and old == PEER_DOWN:
             self.agent.epoch += 1
             if self.tracer.wants("epoch-bump"):
@@ -292,7 +285,7 @@ class FailureDetector:
     # -- introspection ------------------------------------------------------
 
     def health(self) -> dict[str, Any]:
-        """Snapshot for :meth:`GlobalController.health`."""
+        """Snapshot for :meth:`~repro.platform.directory.DirectoryBase.health`."""
         return {
             "state": self.state,
             "epoch": self.agent.epoch,

@@ -107,10 +107,6 @@ class EgressScheduler:
         """Tune translation for egress service shares."""
         self.queues[name].weight = max(1, weight)
 
-    def set_rate(self, name: str, rate_bytes_per_s: int) -> None:
-        """Tune translation for hard egress rate caps."""
-        self.queues[name].rate_bytes_per_s = max(0, rate_bytes_per_s)
-
     # -- data path ---------------------------------------------------------------
 
     def submit(self, packet: Packet) -> bool:

@@ -327,7 +327,7 @@ class ControlLoopCollector:
     def report(self) -> dict[str, Any]:
         """Structured introspection blob: counters plus per-entity and
         per-reason stage percentiles (what
-        :meth:`~repro.platform.controller.GlobalController.control_loops`
+        :meth:`~repro.platform.directory.DirectoryBase.control_loops`
         returns)."""
         stats = self.stats()
         return {

@@ -1,28 +1,41 @@
-"""Execution planning shared by every process fan-out in the repo.
+"""Process-parallel fan-out for independent simulation runs.
 
-Both the experiment sweep runner (:mod:`repro.experiments.runner`) and
-the shard coordinator (:mod:`repro.shard.runtime`) spread independent
-work over worker processes, and both must degrade to serial execution by
-the *same* rules — otherwise ``REPRO_PARALLEL=0`` would tame one and not
-the other. Those rules live here, in a module with no dependencies
-inside the package, so either side can import them without dragging the
-other in.
+Every experiment arm is one isolated :class:`~repro.sim.core.Simulator` —
+arms share no state, so a config sweep or a baseline/coordinated pair is
+embarrassingly parallel. The unit of work is a :class:`Job` (a picklable
+module-level callable, its arguments, a display label and an optional
+cache key); a :class:`Sweep` fans a list of jobs out over a
+``ProcessPoolExecutor`` (one worker process per job, results in
+submission order).
 
-The environment contract:
+Both sweeps and the shard coordinator (:mod:`repro.shard.runtime`)
+decide serial vs parallel up front with :func:`plan_execution`, so
+``REPRO_PARALLEL=0`` tames every fan-out alike. This module has no
+dependencies inside the package, so either side can import it without
+dragging the other in. The environment contract:
 
 * ``REPRO_PARALLEL=0`` forces serial execution everywhere;
 * ``REPRO_WORKERS`` caps the worker budget (validated at parse time: it
   must be an integer >= 1);
 * ``_REPRO_IN_WORKER`` is set inside worker processes, so nested
   fan-outs degrade to serial instead of spawning pools of pools.
+
+A failure of the pool itself — unpicklable arguments, a broken worker, a
+sandbox refusing to fork — falls back to re-running the sweep serially,
+with the reason logged once per distinct cause (logger
+``repro.parallel``). Determinism is untouched by construction: a job's
+result depends only on its callable and arguments, never on which
+process executed it — asserted by ``tests/experiments/test_runner.py``,
+which compares serial and parallel results bit-for-bit.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
-from typing import Optional
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 #: Set to "0" to force serial execution regardless of core count.
 PARALLEL_ENV = "REPRO_PARALLEL"
@@ -73,21 +86,11 @@ def default_workers() -> int:
     return workers
 
 
-def parallelism_enabled() -> bool:
-    """Whether fan-outs may use worker processes at all."""
-    if os.environ.get(PARALLEL_ENV, "1") == "0":
-        return False
-    if _IN_WORKER_ENV in os.environ:
-        return False
-    return default_workers() >= 2
-
-
 def plan_execution(njobs: int, max_workers: Optional[int] = None) -> ExecutionPlan:
     """Decide serial vs parallel for ``njobs`` independent jobs.
 
-    Shared by :class:`~repro.experiments.runner.Sweep` and the shard
-    coordinator, so every fan-out in the repo degrades by the same rules
-    and for inspectable reasons.
+    Shared by :class:`Sweep` and the shard coordinator, so every fan-out
+    in the repo degrades by the same rules and for inspectable reasons.
     """
     if max_workers is None:
         max_workers = default_workers()
@@ -117,7 +120,112 @@ def log_fallback(cause: str) -> None:
         _log.warning("worker pool unavailable (%s); running jobs serially", cause)
 
 
-def reset_fallback_warnings() -> None:
-    """Forget which fallback causes have been warned about (test hook;
-    the sibling of :func:`repro.shard.runtime.reset_degradation_warnings`)."""
-    _logged_fallbacks.clear()
+@dataclass(frozen=True)
+class Job:
+    """One unit of work: a picklable module-level callable plus arguments.
+
+    ``label`` names the job in logs and progress output; ``cache_key``
+    (any hashable, or None) lets a :class:`Sweep` reuse a previous result
+    for an identical job instead of re-running it.
+    """
+
+    fn: Callable[..., Any]
+    args: tuple = ()
+    kwargs: dict = field(default_factory=dict)
+    label: str = ""
+    cache_key: Optional[Hashable] = None
+
+    def run(self) -> Any:
+        return self.fn(*self.args, **self.kwargs)
+
+    def __repr__(self) -> str:
+        name = self.label or getattr(self.fn, "__name__", repr(self.fn))
+        return f"Job({name})"
+
+
+def _run_job(job: Job) -> Any:
+    return job.run()
+
+
+class Sweep:
+    """An ordered batch of independent :class:`Job`\\ s.
+
+    ``Sweep.run()`` returns one result per job, in submission order,
+    fanning out over a process pool when :func:`plan_execution` says it
+    can help. An optional
+    ``cache`` dict (keyed by ``Job.cache_key``) short-circuits jobs whose
+    result is already known — shared arms in a multi-figure report run
+    once.
+    """
+
+    def __init__(self, jobs: Iterable[Job] = ()):
+        self.jobs: list[Job] = list(jobs)
+
+    @classmethod
+    def of(
+        cls,
+        fn: Callable[..., Any],
+        points: Sequence[dict],
+        label: str = "",
+    ) -> "Sweep":
+        """One job per sweep point: ``fn(**point)`` for every point."""
+        name = label or getattr(fn, "__name__", "sweep")
+        return cls(
+            Job(fn, kwargs=dict(point), label=f"{name}[{i}]")
+            for i, point in enumerate(points)
+        )
+
+    def add(self, job: Job) -> "Sweep":
+        self.jobs.append(job)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def run(
+        self,
+        max_workers: Optional[int] = None,
+        cache: Optional[dict] = None,
+    ) -> list[Any]:
+        """Run every job; results in submission order."""
+        jobs = self.jobs
+        if cache is not None:
+            pending = [
+                job for job in jobs
+                if job.cache_key is None or job.cache_key not in cache
+            ]
+        else:
+            pending = list(jobs)
+        plan = plan_execution(len(pending), max_workers=max_workers)
+        if not plan.parallel:
+            fresh = {id(job): job.run() for job in pending}
+        else:
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=plan.workers, initializer=mark_worker
+                ) as pool:
+                    futures = [(job, pool.submit(_run_job, job)) for job in pending]
+                    fresh = {id(job): future.result() for job, future in futures}
+            except Exception as exc:
+                # Pool trouble (unpicklable job, broken worker, fork
+                # refused by the sandbox): jobs are pure functions of
+                # their arguments, so a serial re-run is always safe — a
+                # genuine experiment error re-raises from here with an
+                # honest traceback.
+                log_fallback(f"{type(exc).__name__}: {exc}")
+                fresh = {id(job): job.run() for job in pending}
+        results = []
+        for job in jobs:
+            if id(job) in fresh:
+                result = fresh[id(job)]
+                if cache is not None and job.cache_key is not None:
+                    cache[job.cache_key] = result
+            else:
+                result = cache[job.cache_key]
+            results.append(result)
+        return results
+
+
+def run_jobs(jobs: Iterable[Job], max_workers: Optional[int] = None) -> list[Any]:
+    """Run a batch of jobs; shorthand for ``Sweep(jobs).run(...)``."""
+    return Sweep(jobs).run(max_workers=max_workers)

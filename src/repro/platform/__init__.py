@@ -5,11 +5,10 @@ written against; the concrete islands live in :mod:`repro.x86` and
 :mod:`repro.ixp`. The control plane is pluggable: a
 :class:`~repro.platform.directory.Directory` (central, hierarchical or
 gossip) resolves entity ownership over a declarative
-:class:`~repro.platform.fabric.FabricTopology`, and the paper-era
-:class:`GlobalController` is the central flavour under its original name.
+:class:`~repro.platform.fabric.FabricTopology`; the paper's global
+controller is the central flavour.
 """
 
-from .controller import GlobalController
 from .directory import (
     DIRECTORY_KINDS,
     CentralDirectory,
@@ -51,7 +50,6 @@ __all__ = [
     "DirectoryBase",
     "EntityId",
     "FabricTopology",
-    "GlobalController",
     "GossipDirectory",
     "HealthSource",
     "HierarchicalDirectory",

@@ -8,8 +8,8 @@ health, actuation introspection, the observatory) behind a
 
 * :class:`CentralDirectory` — today's behaviour and the audit baseline:
   one authoritative table, every discovery message lands on the hub
-  (O(K) concentration). :class:`~repro.platform.GlobalController` is
-  this class under its paper-era name.
+  (O(K) concentration). The two-island prototype's global controller
+  is one of these.
 * :class:`HierarchicalDirectory` — island clusters with local aggregator
   nodes (shape declared by a :class:`~repro.platform.fabric.
   FabricTopology`): cluster-local ownership tables at aggregators, a
@@ -53,8 +53,7 @@ class Directory(Protocol):
     """What a control-plane directory must provide.
 
     Structural contract implemented by :class:`CentralDirectory`,
-    :class:`HierarchicalDirectory` and :class:`GossipDirectory` (and, by
-    inheritance, the legacy :class:`~repro.platform.GlobalController`).
+    :class:`HierarchicalDirectory` and :class:`GossipDirectory`.
     Anything consuming "the controller" — testbeds, meshes, agents,
     metrics collectors — should require no more than this.
     """
@@ -437,6 +436,13 @@ class DirectoryBase:
 class CentralDirectory(DirectoryBase):
     """Registry of islands and entities behind one hub — the paper's
     global controller and the fabric experiment's audit baseline.
+
+    "At system initialization time, all scheduling islands register with
+    a global controller (i.e., the first privileged domain to boot up and
+    have complete knowledge of the system platform, in our prototype ...
+    part of Xen Dom0)" (§2.3). The controller makes no resource decisions
+    itself; it only resolves which island owns which entity, so islands
+    can address Tunes and Triggers to each other.
 
     Every registration and lookup is accounted to the hub (the first
     registered island, or an explicit ``hub``): the O(K) concentration a

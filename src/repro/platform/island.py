@@ -15,7 +15,7 @@ from .identity import EntityId
 from .knobs import ActuationRecord, Knob, KnobRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .controller import GlobalController
+    from .directory import Directory
 
 
 class Island:
@@ -35,19 +35,19 @@ class Island:
         self.sim = sim
         self.name = name
         self.tracer = tracer or Tracer(sim, enabled=False)
-        self._controller: Optional["GlobalController"] = None
+        self._controller: Optional["Directory"] = None
         self._entities: dict[EntityId, object] = {}
         #: The typed actuator table every Tune/Trigger dispatches over.
         self.knobs = KnobRegistry(sim, name, tracer=self.tracer)
 
     # -- registration (paper §2.3) ----------------------------------------
 
-    def attach_controller(self, controller: "GlobalController") -> None:
+    def attach_controller(self, controller: "Directory") -> None:
         """Called by the global controller when this island registers."""
         self._controller = controller
 
     @property
-    def controller(self) -> Optional["GlobalController"]:
+    def controller(self) -> Optional["Directory"]:
         """The global controller, once registered."""
         return self._controller
 

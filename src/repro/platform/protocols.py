@@ -1,7 +1,6 @@
 """Typed duck-type contracts of the control plane's collaborators.
 
-The directory layer (and the legacy :class:`~repro.platform.
-GlobalController` facade) admits three kinds of outside objects: health-
+The directory layer admits three kinds of outside objects: health-
 reporting coordination channels, peer-health sources (failure
 detectors), and the control-loop observatory. They used to be typed as
 bare ``object`` with hand-rolled ``callable(getattr(...))`` probes;

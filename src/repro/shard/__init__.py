@@ -12,13 +12,11 @@ without ever hearing from another shard's past.
 
 The pieces:
 
-* :class:`ShardConfig` — the user-facing knobs (``shards``, ``workers``,
-  ``window_ns``, plus the supervision knobs: barrier deadline,
-  heartbeat/probe intervals, respawn budget, journal bound), carried by
-  ``TestbedConfig.shard``.
 * :class:`ShardPlan` — the deterministic cut: cluster groups, lookahead,
   window width. Depends only on topology + shard count, never on worker
   placement.
+* :class:`ShardConfig` — the supervision knobs: barrier deadline,
+  heartbeat/probe intervals, respawn budget, journal bound.
 * :class:`BoundaryRouter` / :class:`BoundaryMessage` — the *only* path
   cross-cluster control traffic takes, in every execution mode. Messages
   are stamped ``(deliver_at, dst, src, seq)`` and applied in exactly

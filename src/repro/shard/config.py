@@ -1,17 +1,16 @@
-"""ShardConfig: the sharded-execution knobs on a TestbedConfig.
+"""ShardConfig: the supervision knobs of a sharded run.
 
-Mirrors the PR-4 ``ChannelConfig`` pattern — one frozen sub-dataclass
-grouping a subsystem's options, validated at construction, defaulting to
-the single-process behaviour (``shards=1``) so existing testbeds are
-untouched.
-
-Since the supervision layer landed, the config also carries the
-self-healing knobs: how long a window barrier may take before a worker
-is declared hung (``barrier_timeout_s``), how often workers prove
-liveness (``heartbeat_interval_s`` / ``probe_timeout_s``), how many
-respawns a run may spend recovering crashed or hung workers
+One frozen dataclass grouping how the self-healing process engine
+behaves, validated at construction: how long a window barrier may take
+before a worker is declared hung (``barrier_timeout_s``), how often
+workers prove liveness (``heartbeat_interval_s`` / ``probe_timeout_s``),
+how many respawns a run may spend recovering crashed or hung workers
 (``max_respawns`` with ``respawn_backoff_s`` exponential backoff), and
 how many windows the recovery journal retains (``journal_limit``).
+
+What to shard lives elsewhere: the shard count and window width in
+:class:`~repro.shard.plan.ShardPlan`, the worker budget in
+:func:`~repro.shard.runtime.run_sharded`'s ``workers`` argument.
 """
 
 from __future__ import annotations
@@ -22,27 +21,14 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """How (and whether) to shard a fabric run across processes.
+    """How :func:`~repro.shard.runtime.run_sharded` supervises its workers.
 
-    ``shards=1`` is the classic single-simulator mode. With more shards
-    the topology is cut at cluster boundaries (see
-    :meth:`~repro.platform.fabric.FabricTopology.partition`) and each
-    shard runs in its own worker process when the host allows it —
+    Each shard runs in its own worker process when the host allows it —
     supervised: a worker that crashes or hangs is killed, respawned and
     fast-forwarded by deterministic replay of the window journal (see
     :mod:`repro.shard.supervisor`).
     """
 
-    #: Number of shards to cut the topology into (1 = unsharded).
-    shards: int = 1
-    #: Worker-process budget for the shard pool; None defers to
-    #: ``REPRO_WORKERS`` / the CPU count (the runner's rules).
-    workers: Optional[int] = None
-    #: Synchronization window override in ns; None uses the topology's
-    #: conservative lookahead (min cross-cluster link latency). May only
-    #: *shrink* the window — a wider-than-lookahead window would let a
-    #: shard run past a message from its future.
-    window_ns: Optional[int] = None
     #: Wall-clock budget (seconds) for one window barrier, per awaited
     #: frame. A worker that has not answered by the deadline is declared
     #: hung, killed and respawned. None disables the deadline (the
@@ -70,12 +56,6 @@ class ShardConfig:
     journal_limit: Optional[int] = 8192
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.window_ns is not None and self.window_ns <= 0:
-            raise ValueError(f"window_ns must be positive, got {self.window_ns}")
         if self.barrier_timeout_s is not None and self.barrier_timeout_s <= 0:
             raise ValueError(
                 f"barrier_timeout_s must be positive, got {self.barrier_timeout_s}"

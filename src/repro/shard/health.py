@@ -70,7 +70,6 @@ class LinkHealth:
         self.heartbeats_sent = 0
         self.heartbeats_received = 0
         self._last_seen = sim.now
-        self._on_down: list = []
         self._on_up: list = []
         router.register(local, "heartbeat", self._on_heartbeat, src=peer)
         self._beat_task = PeriodicTask(
@@ -85,10 +84,6 @@ class LinkHealth:
     @property
     def is_down(self) -> bool:
         return self.state == LINK_DOWN
-
-    def on_down(self, callback) -> None:
-        """Run ``callback()`` whenever the link transitions to DOWN."""
-        self._on_down.append(callback)
 
     def on_up(self, callback) -> None:
         """Run ``callback()`` on recovery, after the epoch bump — the
@@ -130,10 +125,7 @@ class LinkHealth:
             return  # SUSPECT never downgrades DOWN
         self.state = new_state
         self.transitions.append((self.sim.now, new_state, reason))
-        if new_state == LINK_DOWN:
-            for callback in self._on_down:
-                callback()
-        elif new_state == LINK_UP and old == LINK_DOWN:
+        if new_state == LINK_UP and old == LINK_DOWN:
             self.epoch += 1
             for callback in self._on_up:
                 callback()

@@ -20,11 +20,11 @@ Two engines run the same protocol:
   framed pipes, with barrier deadlines, heartbeat liveness probes and
   crash/hang recovery by journal replay.
 
-The engine choice follows the runner's
-:func:`~repro.experiments.runner.plan_execution` rules (``REPRO_*``
-knobs, nested-in-worker, single CPU); any spawn failure — and any
-mid-run :class:`~repro.shard.supervisor.SupervisionExhausted` (respawn
-budget spent, journal truncated) — degrades to the inline engine, with
+The engine choice follows the :func:`~repro.parallel.plan_execution`
+rules (``REPRO_*`` knobs, nested-in-worker, single CPU); any spawn
+failure — and any mid-run
+:class:`~repro.shard.supervisor.SupervisionExhausted` (respawn budget
+spent, journal truncated) — degrades to the inline engine, with
 the cause recorded per run (:class:`DegradationLog`) and never with a
 different simulation result: the inline engine is rebuilt from the
 journal (or, when the journal is truncated, by deterministic
@@ -236,13 +236,13 @@ def run_sharded(
     picklable callable; per-shard determinism must come from the plan
     and explicit seeds in ``build_args``, never from ambient state.
 
-    ``config`` carries the supervision knobs (barrier deadline,
-    heartbeat/probe intervals, respawn budget, journal bound); its
-    ``shards``/``window_ns`` fields are *not* consulted here — the plan
-    already fixed those. ``fault_hook`` (picklable; see
-    :mod:`repro.shard.worker`) is delivered to worker processes only —
-    the inline engine never runs hooks, which is what makes a degraded
-    run equal to an undisturbed one even under a chaos script.
+    ``workers`` caps the worker budget (None defers to ``REPRO_WORKERS``
+    / the CPU count). ``config`` carries the supervision knobs (barrier
+    deadline, heartbeat/probe intervals, respawn budget, journal bound).
+    ``fault_hook`` (picklable; see :mod:`repro.shard.worker`) is
+    delivered to worker processes only — the inline engine never runs
+    hooks, which is what makes a degraded run equal to an undisturbed
+    one even under a chaos script.
     """
     config = config or ShardConfig()
     window = plan.window_for(duration)
@@ -256,8 +256,7 @@ def run_sharded(
     degradations = DegradationLog()
     engine: Any = None
     if plan.shards >= 2:
-        effective_workers = workers if workers is not None else config.workers
-        exec_plan = plan_execution(plan.shards, max_workers=effective_workers)
+        exec_plan = plan_execution(plan.shards, max_workers=workers)
         if exec_plan.parallel:
             try:
                 engine = SupervisedEngine(

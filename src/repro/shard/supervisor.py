@@ -240,7 +240,7 @@ class SupervisedEngine:
         self.build = build
         self.build_args = build_args
         self.fastpath = fastpath
-        self.config = config if config is not None else ShardConfig(shards=plan.shards)
+        self.config = config if config is not None else ShardConfig()
         # ``is None``, not ``or``: an empty WindowJournal is falsy (len 0)
         # and a bare ``or`` would silently shadow the coordinator's journal.
         self.journal = (

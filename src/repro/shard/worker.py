@@ -33,7 +33,7 @@ frame is sent (the hook that refuses to let the process exit). Hooks
 kill (``os._exit``) or hang (``time.sleep``) the worker; they must not
 touch simulation state, or the replay-equality argument is void.
 
-The worker marks itself with the runner's in-worker env flag, so any
+The worker marks itself with :func:`repro.parallel.mark_worker`, so any
 fan-out attempted inside a shard (an experiment nested in a world)
 degrades to serial instead of spawning pools of pools.
 """

@@ -9,8 +9,7 @@ models then only need :meth:`create_guest_vm` and :meth:`add_client_host`.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .coordination import MESSAGE_HANDLING_COST, CoordinationAgent
@@ -27,9 +26,8 @@ from .interconnect import (
 from .ixp import IXPIsland, IXPParams
 from .net import DuplexLink, VirtualNIC, XenBridge
 from .obs import ControlLoopCollector, SpanMinter
-from .platform import EntityId, FabricTopology, GlobalController, build_directory
+from .platform import CentralDirectory, EntityId, FabricTopology, build_directory
 from .platform.mesh import CoordinationMesh
-from .shard.config import ShardConfig
 from .sim import RandomStreams, Simulator, Tracer, us
 from .x86 import VirtualMachine, X86Island, X86Params
 
@@ -86,19 +84,6 @@ class ChannelConfig:
         return us(1) if self.hardware else self.latency
 
 
-#: (legacy TestbedConfig field, ChannelConfig field) pairs the shim maps.
-_LEGACY_CHANNEL_FIELDS = (
-    ("channel_latency", "latency"),
-    ("channel_loss_probability", "loss_probability"),
-    ("reliable", "reliable"),
-    ("reliable_max_retries", "reliable_max_retries"),
-    ("hardware_coordination", "hardware"),
-)
-
-#: Warn-once latch for the flat-kwarg deprecation (reset in tests).
-_legacy_channel_warned = False
-
-
 @dataclass(frozen=True, slots=True)
 class TestbedConfig:
     """Shape and timing of the whole platform — prototype *or* fabric.
@@ -107,10 +92,8 @@ class TestbedConfig:
     :func:`build_testbed`: with the default ``topology=None`` it shapes
     the two-island :class:`Testbed`; with a
     :class:`~repro.platform.FabricTopology` it shapes a K-island
-    :class:`FabricTestbed` (``directory`` picks the control plane,
-    :attr:`shard` the execution mode). Channel knobs live in
-    :attr:`channel`; the flat fields at the bottom are a deprecated
-    compatibility shim that maps onto it (and warns once).
+    :class:`FabricTestbed` (``directory`` picks the control plane).
+    Channel knobs live in :attr:`channel`.
     """
 
     seed: int = 1
@@ -146,46 +129,6 @@ class TestbedConfig:
     #: Directory flavour of a fabric build: ``"central"``,
     #: ``"hierarchical"`` or ``"gossip"`` (ignored without a topology).
     directory: str = "central"
-    #: Sharded-execution knobs (shards, worker budget, window override);
-    #: the default ``ShardConfig()`` is the classic single-process mode.
-    shard: ShardConfig = ShardConfig()
-    # -- deprecated flat channel knobs (use ``channel=ChannelConfig(...)``).
-    # Non-None values are merged into ``channel`` by __post_init__, which
-    # warns once per process; they normalise back to None afterwards so
-    # equality, hashing and dataclasses.replace() see one canonical form.
-    channel_latency: Optional[int] = None
-    channel_loss_probability: Optional[float] = None
-    reliable: Optional[bool] = None
-    reliable_max_retries: Optional[int] = None
-    hardware_coordination: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if self.shard.shards > 1 and self.topology is None:
-            raise ValueError(
-                "ShardConfig(shards>1) needs a fabric: pass topology=... "
-                "(the two-island prototype has no cluster boundaries to cut)"
-            )
-        overrides = {
-            new: getattr(self, old)
-            for old, new in _LEGACY_CHANNEL_FIELDS
-            if getattr(self, old) is not None
-        }
-        if not overrides:
-            return
-        global _legacy_channel_warned
-        if not _legacy_channel_warned:
-            _legacy_channel_warned = True
-            warnings.warn(
-                "flat TestbedConfig channel knobs (channel_latency, "
-                "channel_loss_probability, reliable, reliable_max_retries, "
-                "hardware_coordination) are deprecated; pass "
-                "TestbedConfig(channel=ChannelConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        object.__setattr__(self, "channel", replace(self.channel, **overrides))
-        for old, _new in _LEGACY_CHANNEL_FIELDS:
-            object.__setattr__(self, old, None)
 
 
 class ClientHost:
@@ -278,7 +221,7 @@ class Testbed:
         )
 
         # Global controller (a Dom0 function in the prototype, §2.3).
-        self.controller = GlobalController(self.sim, tracer=self.tracer)
+        self.controller = CentralDirectory(self.sim, tracer=self.tracer)
         self.controller.register_island(self.x86)
         self.controller.register_island(self.ixp)
         self.controller.register_channel("ixp-x86", coord)
@@ -385,10 +328,6 @@ class Testbed:
         self.sim.run(until=until)
 
 
-#: Warn-once latch for the flat FabricTestbed signature (reset in tests).
-_legacy_fabric_warned = False
-
-
 class FabricTestbed:
     """A K-island platform built from a declarative fabric spec.
 
@@ -402,63 +341,14 @@ class FabricTestbed:
     through the directory, so changing the control plane's shape is a
     one-argument change here.
 
-    Canonical construction is config-driven —
-    ``FabricTestbed(config=TestbedConfig(topology=..., directory=...))``
-    or simply :func:`build_testbed` — so fabric runs are shaped by the
-    same :class:`TestbedConfig` as prototype runs. The old flat
-    signature ``FabricTestbed(topology, directory, seed=..., ...)``
-    still works through a deprecation shim that warns once per process.
+    Built from ``TestbedConfig(topology=..., directory=...)``, directly
+    or through :func:`build_testbed`, so fabric runs are shaped by the
+    same :class:`TestbedConfig` as prototype runs.
     """
 
-    def __init__(
-        self,
-        topology: Optional[FabricTopology] = None,
-        directory: Optional[str] = None,
-        *,
-        seed: Optional[int] = None,
-        x86: Optional[X86Params] = None,
-        tracing: Optional[bool] = None,
-        faults: Optional[FaultConfig] = None,
-        config: Optional[TestbedConfig] = None,
-    ):
-        flat = {
-            "topology": topology, "directory": directory, "seed": seed,
-            "x86": x86, "tracing": tracing, "faults": faults,
-        }
-        given = {name: value for name, value in flat.items() if value is not None}
-        if config is not None:
-            if given:
-                raise ValueError(
-                    "pass either config=TestbedConfig(...) or the flat "
-                    f"arguments, not both (got {sorted(given)} alongside config)"
-                )
-            if config.topology is None:
-                raise ValueError("FabricTestbed needs TestbedConfig(topology=...)")
-        else:
-            if topology is None:
-                raise ValueError(
-                    "FabricTestbed needs a topology: pass "
-                    "config=TestbedConfig(topology=...)"
-                )
-            global _legacy_fabric_warned
-            if not _legacy_fabric_warned:
-                _legacy_fabric_warned = True
-                warnings.warn(
-                    "the flat FabricTestbed(topology, directory, ...) "
-                    "signature is deprecated; pass config="
-                    "TestbedConfig(topology=..., directory=..., ...) or use "
-                    "build_testbed()",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = TestbedConfig(
-                topology=topology,
-                directory=directory if directory is not None else "central",
-                seed=seed if seed is not None else 1,
-                x86=x86 if x86 is not None else X86Params(),
-                tracing=bool(tracing),
-                faults=faults,
-            )
+    def __init__(self, config: TestbedConfig):
+        if config.topology is None:
+            raise ValueError("FabricTestbed needs TestbedConfig(topology=...)")
         self.config = config
         topology = config.topology
         self.topology = topology
@@ -498,14 +388,6 @@ class FabricTestbed:
             for (frm, to), detector in sorted(self.mesh._detectors.items()):
                 self.directory.register_health(f"{frm}->{to}", detector)
 
-    def island(self, name: str) -> X86Island:
-        """The island built for topology name ``name``."""
-        return self.islands[name]
-
-    def agent(self, from_island: str, to_island: str) -> CoordinationAgent:
-        """The mesh agent at ``from_island`` toward ``to_island``."""
-        return self.mesh.agent(from_island, to_island)
-
     def run(self, until: int) -> None:
         """Advance the whole fabric to time ``until``."""
         self.sim.run(until=until)
@@ -524,7 +406,7 @@ def build_testbed(config: Optional[TestbedConfig] = None):
     fabric, otherwise the classic two-island :class:`Testbed`. Every
     experiment and tool that builds a platform from a
     :class:`TestbedConfig` should come through here, so adding a fabric
-    (or shards) to a run is a config edit, not a call-site rewrite.
+    to a run is a config edit, not a call-site rewrite.
     """
     config = config or TestbedConfig()
     if config.topology is not None:

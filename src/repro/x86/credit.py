@@ -456,13 +456,3 @@ class CreditScheduler:
                         and head.effective_priority() < running.effective_priority()
                     ):
                         self._preempt(cpu)
-
-    # -- introspection -------------------------------------------------------------------
-
-    def total_cpu_time(self) -> int:
-        """CPU time consumed by all domains so far."""
-        return sum(vm.cpu_time() for vm in self.domains)
-
-    def runnable_vcpus(self) -> list[VCPU]:
-        """All VCPUs currently waiting in some run queue."""
-        return [v for cpu in self.cpus for v in cpu.run_queue]

@@ -60,10 +60,6 @@ class IOQueue:
     def __len__(self) -> int:
         return len(self.pending)
 
-    def mean_wait(self) -> float:
-        """Mean queueing delay (ns) of completed requests."""
-        return self.total_wait / self.completed if self.completed else 0.0
-
 
 class WeightedIOScheduler:
     """Deficit-weighted round-robin over per-VM queues, one disk server.

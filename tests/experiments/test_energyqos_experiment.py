@@ -1,8 +1,8 @@
 """Tests for the energy/QoS co-optimization experiment driver.
 
-Short-duration arms: the full-length acceptance run lives in the CI
-smoke job (tools/energyqos_smoke.py); here we check the driver wiring,
-the renderer, and the fastpath/classic determinism contract.
+The driver wiring, the renderer and the fastpath/classic determinism
+contract run on short arms; one full-length run checks the acceptance
+shape of the three-arm comparison.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ from repro.experiments.energyqos import (
     EnergyQosArmResult,
     EnergyQosResult,
     render_energy_qos,
+    run_energy_qos,
     run_energy_qos_arm,
 )
 from repro.sim import seconds
@@ -39,6 +40,26 @@ class TestDriver:
         arm = run_energy_qos_arm("partition-only", duration=seconds(6))
         assert arm.final_speed == 1.0
         assert arm.actuations["dvfs-level"] == 0
+
+
+class TestAcceptanceShape:
+    def test_coordinated_beats_both_single_axis_ablations(self):
+        result = run_energy_qos(seed=1)
+        coordinated = result.arm("coordinated")
+        dvfs_only = result.arm("dvfs-only")
+        partition_only = result.arm("partition-only")
+        assert coordinated.violations == 0
+        assert coordinated.energy_j < dvfs_only.energy_j
+        assert coordinated.energy_j <= partition_only.energy_j
+        # Frequency alone cannot fix cache starvation: the gap exists.
+        assert dvfs_only.violations > 0
+        uncore = sum(
+            coordinated.actuations[knob]
+            for knob in ("llc-ways", "bw-share", "prefetch-throttle")
+        )
+        assert uncore > 0
+        # Slack was converted into a DVFS down-step.
+        assert coordinated.final_speed < 1.0
 
 
 class TestDeterminism:
@@ -88,7 +109,7 @@ class TestRenderer:
             assert spec.name in table
 
     def test_arm_result_is_a_plain_dataclass(self):
-        # The smoke tool serialises fields; keep the shape stable.
+        # Renderers and callers read these fields; keep the shape stable.
         fields = {f.name for f in dataclasses.fields(EnergyQosArmResult)}
         assert {"mode", "energy_j", "violations", "checks", "final_speed",
                 "actuations", "governor"} <= fields

@@ -13,19 +13,17 @@ import os
 import pytest
 
 from repro.apps.rubis import RubisConfig
-from repro.experiments import (
+from repro.experiments import render_figure2, render_figure4, render_table2, run_rubis_pair
+from repro.parallel import (
+    _IN_WORKER_ENV,
+    PARALLEL_ENV,
+    WORKERS_ENV,
     Job,
     Sweep,
     default_workers,
-    parallelism_enabled,
     plan_execution,
-    render_figure2,
-    render_figure4,
-    render_table2,
     run_jobs,
-    run_rubis_pair,
 )
-from repro.experiments.runner import _IN_WORKER_ENV, PARALLEL_ENV, WORKERS_ENV
 from repro.sim import ms, seconds
 
 
@@ -62,7 +60,7 @@ class TestSweep:
     def test_parallel_env_zero_forces_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "4")
         monkeypatch.setenv(PARALLEL_ENV, "0")
-        assert not parallelism_enabled()
+        assert not plan_execution(2).parallel
         parent = os.getpid()
         results = run_jobs([Job(whoami, args=(i,)) for i in range(3)])
         assert all(pid == parent for _, pid, _ in results)
@@ -70,13 +68,13 @@ class TestSweep:
     def test_nested_fanout_goes_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "4")
         monkeypatch.setenv(_IN_WORKER_ENV, "1")
-        assert not parallelism_enabled()
+        assert not plan_execution(2).parallel
         assert not plan_execution(4)
         assert plan_execution(4).reason == "nested inside a pool worker"
 
     def test_forced_pool_runs_in_workers(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
-        if not parallelism_enabled():
+        if not plan_execution(2).parallel:
             pytest.skip("parallelism unavailable in this environment")
         results = run_jobs([Job(whoami, args=(i,)) for i in range(2)])
         tags = [tag for tag, _, _ in results]

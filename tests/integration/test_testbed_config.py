@@ -1,29 +1,7 @@
-"""The ChannelConfig redesign and its flat-kwarg deprecation shim.
+"""The ChannelConfig sub-config: defaults, hardware assistance, wiring."""
 
-Old code wrote ``TestbedConfig(channel_loss_probability=0.3, reliable=True)``;
-the channel knobs now live in ``TestbedConfig(channel=ChannelConfig(...))``.
-The flat kwargs must keep working — mapped onto the sub-config with exactly
-one ``DeprecationWarning`` per process — while pure new-style configs never
-warn, and both spellings produce equal configs and equal platforms.
-"""
-
-import warnings
-from dataclasses import replace
-
-import pytest
-
-import repro.testbed
 from repro.sim import ms, us
 from repro.testbed import ChannelConfig, Testbed, TestbedConfig
-
-
-@pytest.fixture
-def fresh_warn_latch():
-    """Reset the warn-once latch so each test observes its own warning."""
-    old = repro.testbed._legacy_channel_warned
-    repro.testbed._legacy_channel_warned = False
-    yield
-    repro.testbed._legacy_channel_warned = old
 
 
 class TestChannelConfig:
@@ -43,65 +21,5 @@ class TestChannelConfig:
         assert testbed.channel.latency == ms(2)
         reliable = Testbed(TestbedConfig(channel=ChannelConfig(reliable=True)))
         assert reliable.reliable_channel is not None
-
-
-class TestDeprecationShim:
-    def test_flat_kwargs_map_onto_channel_and_warn_once(self, fresh_warn_latch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = TestbedConfig(
-                channel_latency=ms(2),
-                channel_loss_probability=0.3,
-                reliable=True,
-                reliable_max_retries=4,
-                hardware_coordination=False,
-            )
-            again = TestbedConfig(reliable=True)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1  # once per process, not per config
-        assert "ChannelConfig" in str(deprecations[0].message)
-        assert config.channel == ChannelConfig(
-            latency=ms(2), loss_probability=0.3, reliable=True,
-            reliable_max_retries=4, hardware=False,
-        )
-        assert again.channel.reliable is True
-        # Legacy fields normalise to None: one canonical form.
-        assert config.channel_latency is None
-        assert config.reliable is None
-
-    def test_old_and_new_spellings_are_equal(self, fresh_warn_latch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = TestbedConfig(seed=3, channel_loss_probability=0.2, reliable=True)
-        new = TestbedConfig(
-            seed=3, channel=ChannelConfig(loss_probability=0.2, reliable=True)
-        )
-        assert old == new
-        assert hash(old) == hash(new)
-
-    def test_new_style_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = TestbedConfig(
-                seed=2, channel=ChannelConfig(loss_probability=0.1)
-            )
-            # dataclasses.replace round-trips without re-warning: the
-            # legacy fields were normalised to None.
-            bumped = replace(config, seed=9)
-        assert bumped.channel == config.channel
-        assert bumped.seed == 9
-
-    def test_replace_with_legacy_kwarg_still_maps(self, fresh_warn_latch):
-        config = TestbedConfig(channel=ChannelConfig(latency=ms(2)))
-        with pytest.warns(DeprecationWarning):
-            hardware = replace(config, hardware_coordination=True)
-        # The override merges into the existing sub-config.
-        assert hardware.channel.hardware is True
-        assert hardware.channel.latency == ms(2)
-
-    def test_flat_kwargs_drive_a_real_testbed(self, fresh_warn_latch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = TestbedConfig(hardware_coordination=True)
-        testbed = Testbed(config)
-        assert testbed.channel.latency == us(1)
+        hardware = Testbed(TestbedConfig(channel=ChannelConfig(hardware=True)))
+        assert hardware.channel.latency == us(1)

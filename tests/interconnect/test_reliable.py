@@ -360,11 +360,11 @@ class TestDeadLetterSurfacing:
 
     def test_controller_channel_health_exposes_per_entity_counts(self):
         from repro.coordination import TuneMessage
-        from repro.platform import EntityId, GlobalController
+        from repro.platform import CentralDirectory, EntityId
 
         sim = Simulator()
         wrapped = self._blackout_pair(sim, ReliableConfig(max_retries=1))
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         controller.register_channel("ixp-x86", wrapped)
         for _ in range(8):
             wrapped.endpoint("ixp").send(TuneMessage(entity=EntityId("x86", "web"), delta=1))

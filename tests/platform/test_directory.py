@@ -15,7 +15,6 @@ from repro.platform import (
     Directory,
     EntityId,
     FabricTopology,
-    GlobalController,
     GossipDirectory,
     HierarchicalDirectory,
     UnknownEntityError,
@@ -196,13 +195,6 @@ class TestBuildDirectory:
     def test_hierarchical_needs_topology(self):
         with pytest.raises(ValueError, match="FabricTopology"):
             build_directory("hierarchical", Simulator())
-
-
-class TestGlobalControllerFacade:
-    def test_is_a_central_directory(self):
-        controller = GlobalController(Simulator())
-        assert isinstance(controller, CentralDirectory)
-        assert isinstance(controller, Directory)
 
 
 class TestCentralDirectory:

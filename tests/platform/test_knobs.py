@@ -14,8 +14,8 @@ from repro.interconnect import CoordinationChannel, MessageRing, PCIeBus
 from repro.ixp import IXPIsland, IXPParams
 from repro.metrics import ActuationCollector
 from repro.platform import (
+    CentralDirectory,
     EntityId,
-    GlobalController,
     Knob,
     KnobRegistry,
     TriggerSpec,
@@ -370,7 +370,7 @@ class TestIslandKnobBounds:
 
 class TestControllerSnapshotAndAudit:
     def _platform(self, sim):
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         x86 = X86Island(sim, X86Params(num_cpus=1))
         ixp = IXPIsland(sim)
         controller.register_island(x86)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.platform import EntityId, GlobalController, Island, UnknownEntityError, flow_id, vm_id
+from repro.platform import CentralDirectory, EntityId, Island, UnknownEntityError, flow_id, vm_id
 from repro.sim import Simulator
 
 
@@ -61,10 +61,10 @@ class TestIsland:
         assert island.has_entity(EntityId("test", "a"))
 
 
-class TestGlobalController:
+class TestCentralDirectory:
     def test_island_registration(self):
         sim = Simulator()
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         island = RecordingIsland(sim, "alpha")
         controller.register_island(island)
         assert controller.island("alpha") is island
@@ -72,14 +72,14 @@ class TestGlobalController:
 
     def test_duplicate_island_rejected(self):
         sim = Simulator()
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         controller.register_island(RecordingIsland(sim, "alpha"))
         with pytest.raises(ValueError):
             controller.register_island(RecordingIsland(sim, "alpha"))
 
     def test_owner_resolution(self):
         sim = Simulator()
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         island = RecordingIsland(sim, "alpha")
         controller.register_island(island)
         entity = EntityId("alpha", "vm")
@@ -91,18 +91,18 @@ class TestGlobalController:
         island = RecordingIsland(sim, "alpha")
         entity = EntityId("alpha", "early")
         island.register_entity(entity, object())
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         controller.register_island(island)
         assert controller.owner_of(entity) is island
 
     def test_unknown_entity_raises(self):
-        controller = GlobalController(Simulator())
+        controller = CentralDirectory(Simulator())
         with pytest.raises(UnknownEntityError):
             controller.owner_of(EntityId("nowhere", "ghost"))
 
     def test_known_entities_listing(self):
         sim = Simulator()
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         island = RecordingIsland(sim, "alpha")
         controller.register_island(island)
         island.register_entity(EntityId("alpha", "one"), 1)
@@ -114,7 +114,7 @@ class TestGlobalController:
 
     def test_islands_iteration_order(self):
         sim = Simulator()
-        controller = GlobalController(sim)
+        controller = CentralDirectory(sim)
         first = RecordingIsland(sim, "first")
         second = RecordingIsland(sim, "second")
         controller.register_island(first)

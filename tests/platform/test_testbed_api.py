@@ -1,23 +1,18 @@
 """The unified testbed entry point: one config, two platform shapes.
 
-``TestbedConfig`` now carries the fabric topology, directory flavour and
-``ShardConfig``; ``build_testbed`` dispatches to the right testbed class,
-and the old flat ``FabricTestbed(topology, directory, ...)`` signature
-survives only through a warn-once deprecation shim.
+``TestbedConfig`` carries the fabric topology and directory flavour;
+``build_testbed`` dispatches to the right testbed class.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-import repro.testbed as testbed_mod
-from repro import (
-    FabricTestbed,
-    ShardConfig,
-    Testbed,
-    TestbedConfig,
-    build_testbed,
-)
+import repro
+from repro import FabricTestbed, Testbed, TestbedConfig, build_testbed
 from repro.platform import FabricTopology
 from repro.sim import ms
 
@@ -54,43 +49,14 @@ class TestFabricTestbedSignatures:
         with pytest.raises(ValueError, match="topology"):
             FabricTestbed(config=TestbedConfig())
 
-    def test_mixing_flat_and_config_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            FabricTestbed(topo(), config=TestbedConfig(topology=topo()))
 
-    def test_flat_form_warns_once_and_matches_config_form(self, monkeypatch):
-        monkeypatch.setattr(testbed_mod, "_legacy_fabric_warned", False)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = FabricTestbed(topo(), "hierarchical", seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use: latched, silent
-            legacy_again = FabricTestbed(topo(), "hierarchical", seed=5)
-        modern = FabricTestbed(
-            config=TestbedConfig(
-                topology=topo(), directory="hierarchical", seed=5
-            )
-        )
-        for built in (legacy, legacy_again):
-            assert built.config.directory == modern.config.directory == "hierarchical"
-            assert built.config.seed == modern.config.seed == 5
-            assert set(built.islands) == set(modern.islands)
-
-
-class TestShardConfig:
-    def test_defaults_are_single_process(self):
-        config = ShardConfig()
-        assert (config.shards, config.workers, config.window_ns) == (1, None, None)
-        assert TestbedConfig().shard == config
-
-    @pytest.mark.parametrize(
-        "kwargs", [dict(shards=0), dict(workers=0), dict(window_ns=0)]
+def test_importing_repro_leaves_the_shard_engine_unloaded():
+    # A fresh interpreter: this one has long since imported repro.shard.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    check = "import repro, sys; assert 'repro.shard' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=60,
     )
-    def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ShardConfig(**kwargs)
-
-    def test_multi_shard_config_needs_a_topology(self):
-        with pytest.raises(ValueError, match="topology"):
-            TestbedConfig(shard=ShardConfig(shards=2))
-        config = TestbedConfig(topology=topo(), shard=ShardConfig(shards=2))
-        assert config.shard.shards == 2

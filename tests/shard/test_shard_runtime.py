@@ -97,10 +97,10 @@ class TestBitEquality:
         assert merged(run) == merged(reference)
 
     def test_process_engine_matches_reference(self, reference, monkeypatch):
-        from repro.parallel import WORKERS_ENV, parallelism_enabled
+        from repro.parallel import WORKERS_ENV, plan_execution
 
         monkeypatch.setenv(WORKERS_ENV, "2")
-        if not parallelism_enabled():
+        if not plan_execution(2).parallel:
             pytest.skip("parallelism unavailable in this environment")
         plan = ShardPlan(ring_topology(), shards=2)
         run = run_sharded(plan, build_ping_world, (9,), duration=DURATION)
@@ -132,10 +132,10 @@ class TestDegradation:
         assert len(notes) == 1
 
     def test_worker_world_crash_is_reraised(self, monkeypatch):
-        from repro.parallel import WORKERS_ENV, parallelism_enabled
+        from repro.parallel import WORKERS_ENV, plan_execution
 
         monkeypatch.setenv(WORKERS_ENV, "2")
-        if not parallelism_enabled():
+        if not plan_execution(2).parallel:
             pytest.skip("parallelism unavailable in this environment")
         plan = ShardPlan(ring_topology(), shards=2)
         with pytest.raises(ShardWorkerError, match="refused to boot"):

@@ -10,7 +10,7 @@ event log.
 
 import pytest
 
-from repro.parallel import WORKERS_ENV, parallelism_enabled
+from repro.parallel import WORKERS_ENV, plan_execution
 from repro.platform import FabricTopology
 from repro.shard import (
     BUILD_WINDOW,
@@ -100,7 +100,7 @@ def reference():
 @pytest.fixture
 def process_env(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "2")
-    if not parallelism_enabled():
+    if not plan_execution(2).parallel:
         pytest.skip("parallelism unavailable in this environment")
 
 
@@ -244,6 +244,27 @@ class TestFinishContract:
         assert run.supervision["totals"] == {}
         assert run.supervision["degradations"] == []
         assert merged(run) == merged(reference)
+
+
+class TestShardConfig:
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            pytest.param("barrier_timeout_s", dict(barrier_timeout_s=0), id="barrier"),
+            pytest.param("heartbeat_interval_s", dict(heartbeat_interval_s=-1), id="heartbeat"),
+            pytest.param(
+                "probe_timeout_s",
+                dict(heartbeat_interval_s=1.0, probe_timeout_s=1.0),
+                id="probe-not-above-heartbeat",
+            ),
+            pytest.param("max_respawns", dict(max_respawns=-1), id="respawns"),
+            pytest.param("respawn_backoff_s", dict(respawn_backoff_s=-1), id="backoff"),
+            pytest.param("journal_limit", dict(journal_limit=0), id="journal"),
+        ],
+    )
+    def test_invalid_supervision_knobs_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            ShardConfig(**kwargs)
 
 
 class TestFaultScript:

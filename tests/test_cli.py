@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.__main__ import COMMANDS, main
+from repro.__main__ import main
+from repro.experiments import names
 
 
 def test_list_prints_commands(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in COMMANDS:
+    for name in names():
         assert name in out
 
 

@@ -7,12 +7,11 @@ Run with::
 Used to populate EXPERIMENTS.md; also a convenient one-shot check that the
 whole reproduction is healthy. All five independent runs (RUBiS base and
 coord, the Figure 6 ladder, trigger base and coord) fan out across cores
-through ``repro.experiments.runner``; set ``REPRO_PARALLEL=0`` to force
-the serial path (the artefacts are identical either way).
+through ``repro.parallel``; set ``REPRO_PARALLEL=0`` to force the
+serial path (the artefacts are identical either way).
 """
 
 from repro.experiments import (
-    Job,
     RubisPairResult,
     TriggerPairResult,
     render_figure2,
@@ -23,11 +22,11 @@ from repro.experiments import (
     render_table1,
     render_table2,
     render_table3,
-    run_jobs,
     run_qos_ladder,
     run_rubis,
     run_trigger_arm,
 )
+from repro.parallel import Job, run_jobs
 from repro.sim import seconds
 
 
