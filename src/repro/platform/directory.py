@@ -676,8 +676,12 @@ class GossipDirectory(DirectoryBase):
         self._authoritative: dict[EntityId, OwnershipRecord] = {}
         self._node_epochs: dict[str, int] = {}
         self._heartbeats: dict[str, int] = {}
-        #: entity -> nodes the latest record has not reached yet.
-        self._spreading: dict[EntityId, set[str]] = {}
+        #: Two counts of one relation, "node n's view holds entity e's
+        #: authoritative record": per node and per entity. A node holding
+        #: every authoritative record can accept no offer; an entity held
+        #: by every node is fabric-wide visible.
+        self._holding: dict[str, int] = {}
+        self._reach: dict[EntityId, int] = {}
         self.rounds = 0
         self.exchanges = 0
         self._gossip_task = PeriodicTask(
@@ -689,6 +693,9 @@ class GossipDirectory(DirectoryBase):
         self._peer_views[island.name] = {}
         self._node_epochs[island.name] = 0
         self._heartbeats[island.name] = 0
+        self._holding[island.name] = 0
+        # The newcomer holds no record yet, so none is fabric-wide visible.
+        self._visible_at.clear()
 
     def _record_owner(self, island_name: str, entity_id: EntityId, moved: bool) -> None:
         previous = self._authoritative.get(entity_id)
@@ -703,16 +710,20 @@ class GossipDirectory(DirectoryBase):
             stamped_at=self.sim.now,
         )
         self._authoritative[entity_id] = record
+        if previous is not None:
+            # The superseded record stops counting wherever it is held.
+            for node, view in self._views.items():
+                if view.get(entity_id) is previous:
+                    self._holding[node] -= 1
         # The fact is born in the owner's own view and spreads from there.
-        self._views.setdefault(island_name, {})[entity_id] = record
+        self._views[island_name][entity_id] = record
+        self._holding[island_name] += 1
+        self._reach[entity_id] = 1
         self._count(island_name)
-        remaining = {node for node in self._views if node != island_name}
-        if remaining:
-            self._spreading[entity_id] = remaining
-            self._visible_at.pop(entity_id, None)
-        else:
-            self._spreading.pop(entity_id, None)
+        if len(self._views) == 1:
             self._visible_at[entity_id] = self.sim.now
+        else:
+            self._visible_at.pop(entity_id, None)
 
     def owner_name(self, entity_id: EntityId) -> Optional[str]:
         record = self._authoritative.get(entity_id)
@@ -735,55 +746,68 @@ class GossipDirectory(DirectoryBase):
         nodes = sorted(self._views)
         live = [node for node in nodes if node not in self._isolated]
         self.rounds += 1
-        for node in live:
+        for index, node in enumerate(live):
             # Refresh the node's own liveness record, then infect a peer.
             self._heartbeats[node] += 1
             self._peer_views[node][node] = PeerRecord(
                 node=node, epoch=self._node_epochs[node],
                 heartbeat=self._heartbeats[node], stamped_at=self.sim.now,
             )
-            peers = [peer for peer in live if peer != node]
-            if not peers:
+            if len(live) < 2:
                 continue
-            peer = peers[self.rng.randrange(len(peers))]
-            self._exchange(node, peer)
+            # A uniform draw over the other live nodes, skipping this one.
+            pick = self.rng.randrange(len(live) - 1)
+            self._exchange(node, live[pick + (pick >= index)])
 
     def _exchange(self, a: str, b: str) -> None:
         """Push-pull anti-entropy between two nodes: both end up with the
         union of their views, newer ``(epoch, version)`` stamps winning.
-        Costs two messages at each end (request + response)."""
+        Costs two messages at each end (request + response).
+
+        Every record is born in :meth:`_record_owner` with a stamp newer
+        than any before it for its entity, so an equal stamp means the
+        same record and the authoritative record is the newest. An
+        ownership merge therefore skips a receiver that already holds
+        every authoritative record, and any record the receiver already
+        holds: those offers could change nothing."""
         self.exchanges += 1
         self._count(a, 2)
         self._count(b, 2)
-        for entity, record in list(self._views[a].items()):
-            self._offer(b, entity, record)
-        for entity, record in list(self._views[b].items()):
-            self._offer(a, entity, record)
-        for view in (self._peer_views[a], self._peer_views[b]):
-            for node, record in list(view.items()):
-                for other in (self._peer_views[a], self._peer_views[b]):
-                    existing = other.get(node)
-                    if existing is None or record.stamp > existing.stamp:
-                        other[node] = record
+        self._merge_views(self._views[a], b)
+        self._merge_views(self._views[b], a)
+        peers_a, peers_b = self._peer_views[a], self._peer_views[b]
+        for source, target in ((peers_a, peers_b), (peers_b, peers_a)):
+            for node, record in source.items():
+                existing = target.get(node)
+                if existing is None or record.stamp > existing.stamp:
+                    target[node] = record
+
+    def _merge_views(self, source: dict[EntityId, OwnershipRecord], node: str) -> None:
+        """Offer ``source``'s records to ``node`` in ``source``'s order."""
+        if self._holding[node] == len(self._authoritative):
+            return
+        view = self._views[node]
+        for entity, record in source.items():
+            if view.get(entity) is not record:
+                self._offer(node, entity, record)
 
     def _offer(self, node: str, entity: EntityId, record: OwnershipRecord) -> None:
-        existing = self._views[node].get(entity)
+        view = self._views[node]
+        existing = view.get(entity)
         if existing is not None and existing.stamp >= record.stamp:
             return
-        self._views[node][entity] = record
-        if record is self._authoritative.get(entity):
-            spreading = self._spreading.get(entity)
-            if spreading is not None:
-                spreading.discard(node)
-                if not spreading:
-                    del self._spreading[entity]
-                    self._visible_at[entity] = self.sim.now
-                    if self.tracer.wants("discovery-converged"):
-                        self.tracer.emit(
-                            "controller", "discovery-converged",
-                            entity=str(entity),
-                            latency=self.sim.now - self._registered_at[entity],
-                        )
+        view[entity] = record
+        if record is self._authoritative[entity]:
+            self._holding[node] += 1
+            self._reach[entity] += 1
+            if self._reach[entity] == len(self._views):
+                self._visible_at[entity] = self.sim.now
+                if self.tracer.wants("discovery-converged"):
+                    self.tracer.emit(
+                        "controller", "discovery-converged",
+                        entity=str(entity),
+                        latency=self.sim.now - self._registered_at[entity],
+                    )
 
     def _on_heal(self, island_name: str) -> None:
         # The PR-5 rejoin idiom: a healed node bumps its epoch so its
@@ -802,9 +826,10 @@ class GossipDirectory(DirectoryBase):
         return dict(self._peer_views[node])
 
     def is_converged(self) -> bool:
-        """True when every node's view agrees with the authoritative
-        record set (no record still spreading)."""
-        return not self._spreading
+        """True when every node's view holds every authoritative record,
+        including nodes admitted after a record was stamped."""
+        nodes = len(self._views)
+        return all(reach == nodes for reach in self._reach.values())
 
 
 #: Directory flavours :func:`build_directory` knows how to construct.

@@ -346,3 +346,47 @@ class TestGossipDirectory:
         view = directory.peer_view("isle-0")
         assert set(view) == {"isle-0", "isle-1", "isle-2", "isle-3"}
         assert all(record.heartbeat > 0 for record in view.values())
+
+    def test_late_admission_reopens_convergence(self):
+        sim = Simulator()
+        directory = GossipDirectory(sim)
+        first = X86Island(sim, X86Params(num_cpus=1), name="isle-0")
+        directory.register_island(first)
+        svc = EntityId("isle-0", "svc")
+        directory.note_entity(first, svc)
+        # Alone in the fabric, the owner's own view is the whole fabric.
+        assert directory.visible_at(svc) == 0
+        assert directory.is_converged()
+        directory.register_island(X86Island(sim, X86Params(num_cpus=1), name="isle-1"))
+        # The newcomer cannot resolve svc yet, so svc is not visible; nor
+        # is the dvfs entity every x86 island registers on admission.
+        assert directory.lookup(svc, frm="isle-1") is None
+        assert directory.visible_at(svc) is None
+        assert directory.discovery_latency(EntityId("isle-0", "dvfs")) is None
+        assert not directory.is_converged()
+        sim.run(until=seconds(1))
+        assert directory.lookup(svc, frm="isle-1") == "isle-0"
+        assert directory.is_converged()
+        assert directory.discovery_latency(svc) > 0
+        assert directory.discovery_latency(EntityId("isle-0", "dvfs")) > 0
+
+    def test_converged_exchange_examines_no_ownership_record(self):
+        sim = Simulator()
+        names = tuple(f"isle-{i}" for i in range(16))
+        directory, _ = build("gossip", sim, names=names)
+        sim.run(until=seconds(1))
+        assert directory.is_converged()
+        offers = []
+        offer = directory._offer
+
+        def counting_offer(*args):
+            offers.append(args)
+            offer(*args)
+
+        directory._offer = counting_offer
+        exchanges = directory.exchanges
+        directory._gossip_round()
+        # A full-scan exchange offers each of the 16 dvfs records in both
+        # directions of all 16 exchanges: 512 offers that change nothing.
+        assert directory.exchanges == exchanges + 16
+        assert len(offers) == 0
