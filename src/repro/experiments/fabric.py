@@ -6,10 +6,11 @@ distributed coordination algorithms across multiple island resource
 managers."
 
 Where :mod:`~repro.experiments.scalability` compared coordination
-*algorithms* over hand-wired meshes, this sweep compares control-plane
-*fabrics* built from declarative topologies: K x86 islands, each running
-a latency-sensitive probe VM and two duty-cycled CPU hogs, under the
-same local QoS policy — only the directory changes shape:
+*algorithms* over star and ring meshes, this sweep compares
+control-plane *fabrics* built from declarative topologies: K x86
+islands, each a :class:`ProbeCell` (a latency-sensitive probe VM and two
+duty-cycled CPU hogs) under the same local QoS policy — only the
+directory changes shape:
 
 * ``central``      — a star behind one hub
   (:class:`~repro.platform.CentralDirectory`): every load report and
@@ -38,7 +39,6 @@ from ..platform import EntityId, FabricTopology
 from ..sim import RandomStreams, ms, seconds
 from ..testbed import FabricTestbed, TestbedConfig
 from .report import render_table
-from .scalability import LoadReportMessage
 
 ARMS = ("central", "hierarchical", "gossip")
 
@@ -57,6 +57,75 @@ HOT_SLOT = ms(500)
 DUTY_SLOTS = 4
 #: Cluster fanout of the hierarchical arm.
 FANOUT = 8
+#: One hog burst: a hot hog executes this much, a cold one sleeps it.
+HOG_BURST = ms(5)
+
+
+@dataclass(frozen=True, slots=True)
+class LoadReportMessage:
+    """Island -> coordinator (or neighbour) load telemetry."""
+
+    island: str
+    probe_latency_ns: float
+
+
+class ProbeCell:
+    """One island's workload and its local QoS rule.
+
+    A latency-sensitive ``probe`` VM runs :data:`PROBE_DEMAND` every
+    :data:`PROBE_PERIOD`, first at an offset drawn from ``jitter``. Two
+    hog VMs burn CPU while hot: in slot ``phase`` of every ``slots``
+    slots of ``slot`` ns. Under that pressure an equal-weight probe's
+    credit inflow (1/3 of the pool) drops below its 75% burn and it
+    falls into the OVER band, where it suffers; :meth:`decide` is the
+    ±128 weight rule that answers it.
+    """
+
+    def __init__(self, island, jitter, slot: int, slots: int, phase: int):
+        self.island = island
+        self.probe = island.create_vm("probe")
+        hogs = [island.create_vm(f"hog-{h}") for h in range(2)]
+        #: Probe latency over the whole run, and since the last reset.
+        self.overall = OnlineStats()
+        self.recent = OnlineStats()
+        sim = island.sim
+        sim.spawn(self._probe_loop(sim, jitter), name=f"probe-{island.name}")
+        for hog in hogs:
+            sim.spawn(
+                _hog_loop(sim, hog, slot, slots, phase), name=f"hog-{island.name}"
+            )
+
+    def _probe_loop(self, sim, jitter):
+        yield sim.timeout(jitter.randrange(0, PROBE_PERIOD))
+        while True:
+            start = sim.now
+            yield self.probe.execute(PROBE_DEMAND, "user")
+            latency = sim.now - start - PROBE_DEMAND
+            self.overall.add(latency)
+            self.recent.add(latency)
+            yield sim.timeout(PROBE_PERIOD)
+
+    def reset_recent(self) -> float:
+        """Mean probe latency since the last reset (0 if none), then reset."""
+        mean = self.recent.mean if self.recent.count else 0.0
+        self.recent = OnlineStats()
+        return mean
+
+    def decide(self, mean: float) -> int:
+        """The probe weight delta a ``mean`` latency calls for."""
+        if mean > LATENCY_HIGH:
+            return +128
+        if mean < LATENCY_LOW and self.probe.weight > 256:
+            return -128
+        return 0
+
+
+def _hog_loop(sim, vm, slot: int, slots: int, phase: int):
+    while True:
+        if (sim.now // slot) % slots == phase:
+            yield vm.execute(HOG_BURST, "user")
+        else:
+            yield sim.timeout(HOG_BURST)
 
 
 @dataclass
@@ -104,56 +173,16 @@ def run_fabric_arm(
     )
     sim, directory, mesh = testbed.sim, testbed.directory, testbed.mesh
     rng = RandomStreams(seed)
-
-    probe_stats: dict[str, OnlineStats] = {}
-    recent: dict[str, OnlineStats] = {}
+    cells = {
+        name: ProbeCell(
+            testbed.islands[name], rng.stream(f"probe-{index}"),
+            HOT_SLOT, DUTY_SLOTS, index % DUTY_SLOTS,
+        )
+        for index, name in enumerate(names)
+    }
     #: Custom control messages (load reports) handled per node — the mesh
     #: only counts Tunes/Triggers/relays, so reports are tallied here.
     report_counts: dict[str, int] = {name: 0 for name in names}
-
-    for index, name in enumerate(names):
-        island = testbed.islands[name]
-        probe_vm = island.create_vm("probe")
-        hog_vms = [island.create_vm(f"hog-{h}") for h in range(2)]
-        probe_stats[name] = OnlineStats()
-        recent[name] = OnlineStats()
-
-        def probe_loop(sim, vm=probe_vm, name=name,
-                       jitter=rng.stream(f"probe-{index}")):
-            yield sim.timeout(jitter.randrange(0, PROBE_PERIOD))
-            while True:
-                start = sim.now
-                yield vm.execute(PROBE_DEMAND, "user")
-                latency = sim.now - start - PROBE_DEMAND
-                probe_stats[name].add(latency)
-                recent[name].add(latency)
-                yield sim.timeout(PROBE_PERIOD)
-
-        def hog_loop(sim, vm, phase=index % DUTY_SLOTS):
-            while True:
-                if (sim.now // HOT_SLOT) % DUTY_SLOTS == phase:
-                    yield vm.execute(ms(5), "user")
-                else:
-                    yield sim.timeout(ms(5))
-
-        sim.spawn(probe_loop(sim), name=f"probe-{name}")
-        for hog_vm in hog_vms:
-            sim.spawn(hog_loop(sim, hog_vm), name=f"hog-{name}")
-
-    by_name = {name: testbed.islands[name] for name in names}
-
-    def _reset_recent(name: str) -> float:
-        mean = recent[name].mean if recent[name].count else 0.0
-        recent[name] = OnlineStats()
-        return mean
-
-    def _decide(name: str, mean: float) -> int:
-        probe = by_name[name].vm("probe")
-        if mean > LATENCY_HIGH:
-            return +128
-        if mean < LATENCY_LOW and probe.weight > 256:
-            return -128
-        return 0
 
     if arm == "central":
         # Every island streams load reports to the hub, whose manager
@@ -163,7 +192,7 @@ def run_fabric_arm(
 
         def on_report(message: LoadReportMessage) -> None:
             report_counts[hub] += 1
-            delta = _decide(message.island, message.probe_latency_ns)
+            delta = cells[message.island].decide(message.probe_latency_ns)
             if delta:
                 mesh.agent(hub, message.island).send_tune(
                     EntityId(message.island, "probe"), delta
@@ -178,7 +207,7 @@ def run_fabric_arm(
             while True:
                 yield sim.timeout(POLICY_PERIOD)
                 mesh.agent(name, hub).endpoint.send(LoadReportMessage(
-                    island=name, probe_latency_ns=_reset_recent(name)
+                    island=name, probe_latency_ns=cells[name].reset_recent()
                 ))
 
         for name in names:
@@ -194,10 +223,10 @@ def run_fabric_arm(
         def local_controller(sim, name):
             while True:
                 yield sim.timeout(POLICY_PERIOD)
-                mean = _reset_recent(name)
-                delta = _decide(name, mean)
+                mean = cells[name].reset_recent()
+                delta = cells[name].decide(mean)
                 if delta:
-                    by_name[name].apply_tune(EntityId(name, "probe"), delta)
+                    testbed.islands[name].apply_tune(EntityId(name, "probe"), delta)
                 if arm == "hierarchical":
                     directory.report_load(name, mean)
                     report_counts[name] += 1
@@ -215,14 +244,14 @@ def run_fabric_arm(
 
     def _partition() -> None:
         directory.isolate(target)
-        by_name[target].create_vm("spare")
+        testbed.islands[target].create_vm("spare")
 
     sim.call_at(partition_at, _partition)
     sim.call_at(heal_at, lambda: directory.heal(target))
 
     sim.run(until=duration)
 
-    latencies = {name: probe_stats[name].mean / 1e6 for name in names}
+    latencies = {name: cells[name].overall.mean / 1e6 for name in names}
     node_messages = {
         name: (directory.messages_at(name) + mesh.messages_handled_at(name)
                + report_counts[name])

@@ -10,9 +10,10 @@ its own process, and the conservative window protocol of
 sharded run is **bit-identical** to the single-process run — asserted
 here, every time, for every K.
 
-Each cluster runs the fabric experiment's workload (a latency-sensitive
-probe VM plus duty-cycled hogs per island) under a two-level control
-plane whose cross-cluster traffic all rides boundary messages:
+Each island is the fabric experiment's
+:class:`~repro.experiments.fabric.ProbeCell` (a latency-sensitive probe
+VM plus duty-cycled hogs), under a two-level control plane whose
+cross-cluster traffic all rides boundary messages:
 
 * **reports** — each aggregator coalesces its members' probe latencies
   once per policy period and reports upward to the root;
@@ -21,8 +22,10 @@ plane whose cross-cluster traffic all rides boundary messages:
   credit weight;
 * **gossip** — aggregators push their dynamic-entity views around a
   ring of peer links, a root-free dissemination path;
-* **heartbeats** — a :class:`~repro.shard.LinkHealth` pair guards every
-  aggregator <-> root uplink.
+* **heartbeats** — the platform's :class:`~repro.faults.FailureDetector`
+  watches every aggregator <-> root uplink from both ends, each detector
+  on a handler-less :class:`~repro.coordination.CoordinationAgent` whose
+  endpoint is a :class:`~repro.shard.BoundaryEndpoint`.
 
 Mid-run a scripted blackout partitions the last cluster's aggregator
 from every cross-cluster link; a spare entity registers while isolated.
@@ -42,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..faults import ChannelBlackout
-from ..metrics import OnlineStats
+from ..coordination import CoordinationAgent
+from ..faults import ChannelBlackout, FailureDetector, FaultConfig
 from ..platform import EntityId, FabricTopology
-from ..shard import LinkHealth, ShardPlan, run_sharded
+from ..shard import BoundaryEndpoint, ShardPlan, run_sharded
 from ..sim import PeriodicTask, RandomStreams, ms, seconds
 from ..x86 import X86Island, X86Params
 from .fabric import (
@@ -53,10 +56,8 @@ from .fabric import (
     FANOUT,
     HOT_SLOT,
     LATENCY_HIGH,
-    LATENCY_LOW,
     POLICY_PERIOD,
-    PROBE_DEMAND,
-    PROBE_PERIOD,
+    ProbeCell,
 )
 from .report import render_table
 
@@ -96,6 +97,14 @@ def sharded_topology(num_islands: int, fanout: int = FANOUT) -> FabricTopology:
     )
 
 
+def _watch(world: "_ShardWorld", local: str, peer: str) -> FailureDetector:
+    """The platform failure detector at ``local`` watching ``peer``
+    across their boundary link, with the default :class:`FaultConfig`."""
+    endpoint = BoundaryEndpoint(world.sim, world.router, local, peer)
+    agent = CoordinationAgent(world.sim, world.cells[local].island, endpoint)
+    return FailureDetector(world.sim, agent, FaultConfig())
+
+
 class _ClusterAgent:
     """One cluster's control locus, living on its shard.
 
@@ -126,7 +135,7 @@ class _ClusterAgent:
         if not self.is_root:
             router.register(self.aggregator, "announce", self._on_announce)
             router.register(self.aggregator, "sync", self._on_sync)
-            self.uplink = LinkHealth(sim, router, self.aggregator, topo.root)
+            self.uplink = _watch(world, self.aggregator, topo.root)
             self.uplink.on_up(self._replay_view)
         else:
             self.uplink = None
@@ -139,13 +148,14 @@ class _ClusterAgent:
         world = self.world
         worst_member, worst_mean, total = self.members[0], -1.0, 0.0
         for member in self.members:
-            mean = world.reset_recent(member)
+            cell = world.cells[member]
+            mean = cell.reset_recent()
             total += mean
             if mean > worst_mean:
                 worst_member, worst_mean = member, mean
-            delta = world.decide(member, mean)
+            delta = cell.decide(mean)
             if delta:
-                world.islands[member].apply_tune(EntityId(member, "probe"), delta)
+                cell.island.apply_tune(EntityId(member, "probe"), delta)
                 world.tunes_local[member] += 1
         payload = {
             "cluster": self.name,
@@ -165,10 +175,11 @@ class _ClusterAgent:
             self.reports_sent += 1
 
     def _on_tune(self, message) -> None:
-        member = message.payload["member"]
-        self.world.islands[member].apply_tune(
-            EntityId(member, "probe"), message.payload["delta"]
-        )
+        self.apply_tune(message.payload["member"], message.payload["delta"])
+
+    def apply_tune(self, member: str, delta: int) -> None:
+        """A root tune for one member's probe weight."""
+        self.world.cells[member].island.apply_tune(EntityId(member, "probe"), delta)
         self.tunes_received += 1
 
     # -- the dynamic-entity view ---------------------------------------------
@@ -184,12 +195,12 @@ class _ClusterAgent:
 
     def register_entity(self, name: str, now: int) -> None:
         """A new entity appeared on this cluster: version it, try to
-        announce it upward (a blackout may swallow the attempt)."""
-        epoch = self.uplink.epoch if self.uplink is not None else 0
-        self.merge(name, (epoch, 1, now))
+        announce it upward (a blackout may swallow the attempt). On the
+        root's own cluster the root merges and fans it out directly."""
         if self.is_root:
-            self.world.root.receive_announce(name, self.view[name], origin=self.name)
+            self.world.root.receive_announce(name, (0, 1, now), origin=self.name)
         else:
+            self.merge(name, (self.uplink.agent.epoch, 1, now))
             self.world.router.send(
                 self.aggregator, self.world.topology.root, "announce",
                 {"name": name, "stamp": self.view[name]}, now,
@@ -220,7 +231,7 @@ class _ClusterAgent:
         now = self.world.sim.now
         for name in sorted(self.view):
             epoch, version, registered_at = self.view[name]
-            stamp = (max(epoch, self.uplink.epoch), version + 1, registered_at)
+            stamp = (max(epoch, self.uplink.agent.epoch), version + 1, registered_at)
             self.view[name] = stamp
             self.world.router.send(
                 self.aggregator, self.world.topology.root, "announce",
@@ -253,7 +264,7 @@ class _RootAgent:
         self.downlinks = {}
         for cluster in topo.clusters:
             if cluster.aggregator != topo.root:
-                link = LinkHealth(world.sim, world.router, topo.root, cluster.aggregator)
+                link = _watch(world, topo.root, cluster.aggregator)
                 link.on_up(lambda agg=cluster.aggregator: self._sync_peer(agg))
                 self.downlinks[cluster.aggregator] = link
         world.router.register(topo.root, "report", self._on_report)
@@ -277,13 +288,13 @@ class _RootAgent:
             return
         worst = max(over, key=lambda load: (load["worst_mean"], load["cluster"]))
         aggregator = self.world.topology.cluster_named(worst["cluster"]).aggregator
-        payload = {"member": worst["worst"], "delta": ROOT_TUNE_DELTA}
         if aggregator == self.world.topology.root:
-            self.agent._on_tune(_LocalTune(payload))
+            self.agent.apply_tune(worst["worst"], ROOT_TUNE_DELTA)
         else:
             self.world.router.send(
                 self.world.topology.root, aggregator, "tune",
-                payload, self.world.sim.now,
+                {"member": worst["worst"], "delta": ROOT_TUNE_DELTA},
+                self.world.sim.now,
             )
         self.tunes_sent += 1
 
@@ -326,15 +337,6 @@ class _RootAgent:
         }
 
 
-class _LocalTune:
-    """Shim so the root can hand its own cluster a tune without a link."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
-
-
 class _ShardWorld:
     """One shard's slice of the fabric: islands, workload, agents."""
 
@@ -346,27 +348,15 @@ class _ShardWorld:
         rng = RandomStreams(seed)
         index_of = {name: i for i, name in enumerate(topo.islands)}
 
-        self.islands: dict[str, X86Island] = {}
-        self.probe_stats: dict[str, OnlineStats] = {}
-        self.recent: dict[str, OnlineStats] = {}
-        self.tunes_local: dict[str, int] = {}
-        for name in ctx.islands:
-            island = X86Island(self.sim, X86Params(), name=name)
-            self.islands[name] = island
-            probe_vm = island.create_vm("probe")
-            hog_vms = [island.create_vm(f"hog-{h}") for h in range(2)]
-            self.probe_stats[name] = OnlineStats()
-            self.recent[name] = OnlineStats()
-            self.tunes_local[name] = 0
-            self.sim.spawn(
-                _probe_loop(self, probe_vm, name, rng.stream(f"probe-{name}")),
-                name=f"probe-{name}",
+        self.cells = {
+            name: ProbeCell(
+                X86Island(self.sim, X86Params(), name=name),
+                rng.stream(f"probe-{name}"),
+                HOT_SLOT, DUTY_SLOTS, index_of[name] % DUTY_SLOTS,
             )
-            for hog_vm in hog_vms:
-                self.sim.spawn(
-                    _hog_loop(self.sim, hog_vm, index_of[name] % DUTY_SLOTS),
-                    name=f"hog-{name}",
-                )
+            for name in ctx.islands
+        }
+        self.tunes_local = dict.fromkeys(ctx.islands, 0)
 
         owned = set(ctx.plan.clusters_of(ctx.shard_index))
         self.agents: dict[str, _ClusterAgent] = {}
@@ -400,7 +390,7 @@ class _ShardWorld:
                 register_at = self.partition_at + ms(60)
 
                 def _register_spare() -> None:
-                    self.islands[target].create_vm("spare")
+                    self.cells[target].island.create_vm("spare")
                     self.spare_registered_at = self.sim.now
                     self.agents[target_cluster.name].register_entity(
                         "spare", self.sim.now
@@ -408,30 +398,15 @@ class _ShardWorld:
 
                 self.sim.call_at(register_at, _register_spare)
 
-    # -- workload plumbing ---------------------------------------------------
-
-    def reset_recent(self, name: str) -> float:
-        mean = self.recent[name].mean if self.recent[name].count else 0.0
-        self.recent[name] = OnlineStats()
-        return mean
-
-    def decide(self, name: str, mean: float) -> int:
-        probe = self.islands[name].vm("probe")
-        if mean > LATENCY_HIGH:
-            return +128
-        if mean < LATENCY_LOW and probe.weight > 256:
-            return -128
-        return 0
-
     def collect(self) -> dict[str, Any]:
         return {
             "islands": {
                 name: {
-                    "probe_mean_ns": self.probe_stats[name].mean,
-                    "probe_count": self.probe_stats[name].count,
+                    "probe_mean_ns": cell.overall.mean,
+                    "probe_count": cell.overall.count,
                     "tunes_local": self.tunes_local[name],
                 }
-                for name in sorted(self.islands)
+                for name, cell in sorted(self.cells.items())
             },
             "clusters": {
                 name: agent.collect() for name, agent in sorted(self.agents.items())
@@ -439,25 +414,6 @@ class _ShardWorld:
             "root": None if self.root is None else self.root.collect(),
             "spare_registered_at": self.spare_registered_at,
         }
-
-
-def _probe_loop(world: _ShardWorld, vm, name: str, jitter):
-    yield world.sim.timeout(jitter.randrange(0, PROBE_PERIOD))
-    while True:
-        start = world.sim.now
-        yield vm.execute(PROBE_DEMAND, "user")
-        latency = world.sim.now - start - PROBE_DEMAND
-        world.probe_stats[name].add(latency)
-        world.recent[name].add(latency)
-        yield world.sim.timeout(PROBE_PERIOD)
-
-
-def _hog_loop(sim, vm, phase: int):
-    while True:
-        if (sim.now // HOT_SLOT) % DUTY_SLOTS == phase:
-            yield vm.execute(ms(5), "user")
-        else:
-            yield sim.timeout(ms(5))
 
 
 def build_fabric_world(ctx, seed: int, duration: int, blackout: bool) -> _ShardWorld:

@@ -192,15 +192,14 @@ def run_trigger_arm(buffer_trigger: bool, seed: int = 1) -> TriggerRunResult:
     )
 
 
-def run_trigger_pair(seed: int = 1, parallel: bool = True) -> TriggerPairResult:
+def run_trigger_pair(seed: int = 1) -> TriggerPairResult:
     """Both arms of the buffer-monitoring experiment, fanned out in
     parallel on a multicore host (identical results either way)."""
     base, coord = run_jobs(
         [
             Job(run_trigger_arm, args=(False,), kwargs=dict(seed=seed), label="trigger:base"),
             Job(run_trigger_arm, args=(True,), kwargs=dict(seed=seed), label="trigger:coord"),
-        ],
-        max_workers=None if parallel else 1,
+        ]
     )
     return TriggerPairResult(base=base, coord=coord)
 

@@ -125,22 +125,20 @@ def run_rubis_pair(
     duration: int = DEFAULT_DURATION,
     seed: int = 1,
     config: Optional[RubisConfig] = None,
-    parallel: bool = True,
     fastpath: bool = True,
 ) -> RubisPairResult:
     """Run both arms on the same seed, side by side on a multicore host.
 
     The arms are independent simulators, so the pair fans out through
-    :mod:`repro.parallel`; ``parallel=False`` forces the serial
-    path (the results are identical either way).
+    :mod:`repro.parallel` (``REPRO_PARALLEL=0`` forces the serial path;
+    the results are identical either way).
     """
     shared = dict(duration=duration, seed=seed, config=config, fastpath=fastpath)
     base, coord = run_jobs(
         [
             Job(run_rubis, kwargs=dict(coordinated=False, **shared), label="rubis:base"),
             Job(run_rubis, kwargs=dict(coordinated=True, **shared), label="rubis:coord"),
-        ],
-        max_workers=None if parallel else 1,
+        ]
     )
     return RubisPairResult(base=base, coord=coord)
 

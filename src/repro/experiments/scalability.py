@@ -5,8 +5,10 @@ large-scale multicore platforms, part of which involve the use of
 distributed coordination algorithms across multiple island resource
 managers."
 
-K x86 islands ("cells") each run a latency-sensitive probe VM and a CPU
-hog whose heavy phases rotate across cells. Three arms per K:
+K x86 islands ("cells") each run the fabric sweep's
+:class:`~repro.experiments.fabric.ProbeCell`: a latency-sensitive probe
+VM and two CPU hogs whose hot phases rotate across cells. Three arms
+per K:
 
 * ``none``        — no coordination: probes suffer during their cell's
                     hot phase;
@@ -25,42 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics import OnlineStats
-from ..platform import EntityId
+from ..platform import EntityId, FabricTopology
 from ..platform.mesh import CoordinationMesh
-from ..sim import RandomStreams, Simulator, ms, seconds, us
+from ..sim import RandomStreams, Simulator, seconds, us
 from ..x86 import X86Island, X86Params
+from .fabric import POLICY_PERIOD, LoadReportMessage, ProbeCell
 from .report import render_table
 
 ARMS = ("none", "centralized", "distributed")
 
-#: Probe service: a latency-sensitive 15 ms task every 20 ms (75% of a
-#: core, like a media decoder) — heavy enough that an equal-weight cell
-#: under hog pressure pushes it into the OVER band, where it suffers.
-PROBE_PERIOD = ms(20)
-PROBE_DEMAND = ms(15)
-LATENCY_HIGH = ms(3)
-LATENCY_LOW = ms(1.5)
-POLICY_PERIOD = ms(250)
+#: Each cell's hogs are hot for one phase of this length in turn.
 HOT_PHASE = seconds(2)
-
-
-@dataclass(frozen=True, slots=True)
-class LoadReportMessage:
-    """Cell -> coordinator (or neighbour) load telemetry."""
-
-    island: str
-    probe_latency_ns: float
-
-
-@dataclass
-class CellHandles:
-    """One cell's components."""
-
-    island: X86Island
-    probe_vm: object
-    recent: OnlineStats
-    overall: OnlineStats
+#: One-way latency of every mesh link.
+LINK_LATENCY = us(150)
 
 
 @dataclass
@@ -76,54 +55,15 @@ class ScalabilityArmResult:
     total_messages: int
 
 
-def _build_cells(sim: Simulator, count: int) -> list[CellHandles]:
+def _build_cells(sim: Simulator, count: int) -> list[ProbeCell]:
     rng = RandomStreams(17)
-    cells = []
-    for index in range(count):
-        island = X86Island(sim, X86Params(num_cpus=2), name=f"cell-{index}")
-        probe_vm = island.create_vm("probe")
-        # Two hog domains: during a hot phase they demand both cores, so
-        # an equal-weight probe's credit inflow (1/3 of the pool) drops
-        # below its 75% burn and it falls into the OVER band.
-        hog_vms = [island.create_vm(f"hog-{h}") for h in range(2)]
-        cell = CellHandles(island, probe_vm, OnlineStats(), OnlineStats())
-
-        def probe_loop(sim, vm=probe_vm, cell=cell,
-                       jitter=rng.stream(f"probe-{index}")):
-            yield sim.timeout(jitter.randrange(0, PROBE_PERIOD))
-            while True:
-                start = sim.now
-                yield vm.execute(PROBE_DEMAND, "user")
-                latency = sim.now - start - PROBE_DEMAND
-                cell.recent.add(latency)
-                cell.overall.add(latency)
-                yield sim.timeout(PROBE_PERIOD)
-
-        def hog_loop(sim, vm, phase_index=index, total=count):
-            cycle = HOT_PHASE * total
-            while True:
-                position = sim.now % cycle
-                hot_start = phase_index * HOT_PHASE
-                if hot_start <= position < hot_start + HOT_PHASE:
-                    yield vm.execute(ms(5), "user")
-                else:
-                    yield sim.timeout(ms(5))
-
-        sim.spawn(probe_loop(sim), name=f"probe-{index}")
-        for hog_vm in hog_vms:
-            sim.spawn(hog_loop(sim, hog_vm), name=f"hog-{index}")
-        cells.append(cell)
-    return cells
-
-
-def _reset_recent(cell: CellHandles) -> float:
-    mean = cell.recent.mean if cell.recent.count else 0.0
-    cell.recent = OnlineStats()
-    return mean
-
-
-def _probe_entity(cell: CellHandles) -> EntityId:
-    return EntityId(cell.island.name, "probe")
+    return [
+        ProbeCell(
+            X86Island(sim, X86Params(num_cpus=2), name=f"cell-{index}"),
+            rng.stream(f"probe-{index}"), HOT_PHASE, count, index,
+        )
+        for index in range(count)
+    ]
 
 
 def run_scalability_arm(arm: str, num_cells: int, duration: int = seconds(12)) -> ScalabilityArmResult:
@@ -133,70 +73,67 @@ def run_scalability_arm(arm: str, num_cells: int, duration: int = seconds(12)) -
     sim = Simulator()
     cells = _build_cells(sim, num_cells)
     by_name = {cell.island.name: cell for cell in cells}
-    mesh = CoordinationMesh(sim, latency=us(150))
+    names = tuple(by_name)
+    mesh = CoordinationMesh(sim, latency=LINK_LATENCY)
     for cell in cells:
         mesh.add_island(cell.island, handler_vm=cell.island.dom0)
 
-    heartbeat_counts = {cell.island.name: 0 for cell in cells}
+    heartbeat_counts = {name: 0 for name in names}
 
     if arm == "centralized":
-        hub = cells[0].island.name
-        mesh.connect_star(hub)
+        hub = names[0]
+        mesh.apply_topology(FabricTopology.star(names, link_latency=LINK_LATENCY))
 
         def on_report(message: LoadReportMessage) -> None:
             heartbeat_counts[hub] += 1
-            cell = by_name[message.island]
-            if message.probe_latency_ns > LATENCY_HIGH:
-                mesh.agent(hub, message.island).send_tune(_probe_entity(cell), +128)
-            elif message.probe_latency_ns < LATENCY_LOW and cell.probe_vm.weight > 256:
-                mesh.agent(hub, message.island).send_tune(_probe_entity(cell), -128)
+            delta = by_name[message.island].decide(message.probe_latency_ns)
+            if delta:
+                mesh.agent(hub, message.island).send_tune(
+                    EntityId(message.island, "probe"), delta
+                )
 
         for name in mesh.neighbors(hub):
             mesh.agent(hub, name).register_message_handler(LoadReportMessage, on_report)
 
-        def reporter(sim, cell):
+        def reporter(sim, name):
             while True:
                 yield sim.timeout(POLICY_PERIOD)
-                mean = _reset_recent(cell)
-                mesh.agent(cell.island.name, hub).endpoint.send(
-                    LoadReportMessage(island=cell.island.name, probe_latency_ns=mean)
-                )
+                mesh.agent(name, hub).endpoint.send(LoadReportMessage(
+                    island=name, probe_latency_ns=by_name[name].reset_recent()
+                ))
 
-        for cell in cells[1:] + cells[:1]:
-            if cell.island.name != hub:
-                sim.spawn(reporter(sim, cell), name=f"report-{cell.island.name}")
+        for name in names[1:]:
+            sim.spawn(reporter(sim, name), name=f"report-{name}")
 
     elif arm == "distributed":
-        mesh.connect_ring()
+        mesh.apply_topology(FabricTopology.ring(names, link_latency=LINK_LATENCY))
 
         def on_heartbeat(message: LoadReportMessage, receiver: str) -> None:
             heartbeat_counts[receiver] += 1
 
-        for cell in cells:
-            name = cell.island.name
+        for name in names:
             for neighbor in mesh.neighbors(name):
                 mesh.agent(name, neighbor).register_message_handler(
                     LoadReportMessage, lambda m, receiver=name: on_heartbeat(m, receiver)
                 )
 
-        def local_controller(sim, cell):
-            name = cell.island.name
+        def local_controller(sim, name):
+            cell = by_name[name]
             while True:
                 yield sim.timeout(POLICY_PERIOD)
-                mean = _reset_recent(cell)
+                mean = cell.reset_recent()
                 # Local decision: the cell's own manager tunes itself.
-                if mean > LATENCY_HIGH:
-                    cell.island.apply_tune(_probe_entity(cell), +128)
-                elif mean < LATENCY_LOW and cell.probe_vm.weight > 256:
-                    cell.island.apply_tune(_probe_entity(cell), -128)
+                delta = cell.decide(mean)
+                if delta:
+                    cell.island.apply_tune(EntityId(name, "probe"), delta)
                 # Gossip a heartbeat to ring neighbours only.
                 for neighbor in mesh.neighbors(name):
                     mesh.agent(name, neighbor).endpoint.send(
                         LoadReportMessage(island=name, probe_latency_ns=mean)
                     )
 
-        for cell in cells:
-            sim.spawn(local_controller(sim, cell), name=f"ctrl-{cell.island.name}")
+        for name in names:
+            sim.spawn(local_controller(sim, name), name=f"ctrl-{name}")
 
     sim.run(until=duration)
 
@@ -205,7 +142,7 @@ def run_scalability_arm(arm: str, num_cells: int, duration: int = seconds(12)) -
         name: heartbeat_counts[name] + mesh.messages_handled_at(name)
         for name in by_name
     }
-    hub_messages = per_cell_messages.get(cells[0].island.name, 0) if arm != "none" else 0
+    hub_messages = per_cell_messages.get(names[0], 0) if arm != "none" else 0
     return ScalabilityArmResult(
         arm=arm,
         num_cells=num_cells,

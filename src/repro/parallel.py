@@ -3,8 +3,8 @@
 Every experiment arm is one isolated :class:`~repro.sim.core.Simulator` —
 arms share no state, so a config sweep or a baseline/coordinated pair is
 embarrassingly parallel. The unit of work is a :class:`Job` (a picklable
-module-level callable, its arguments, a display label and an optional
-cache key); a :class:`Sweep` fans a list of jobs out over a
+module-level callable, its arguments and a display label); a
+:class:`Sweep` fans a list of jobs out over a
 ``ProcessPoolExecutor`` (one worker process per job, results in
 submission order).
 
@@ -35,7 +35,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 #: Set to "0" to force serial execution regardless of core count.
 PARALLEL_ENV = "REPRO_PARALLEL"
@@ -124,16 +124,13 @@ def log_fallback(cause: str) -> None:
 class Job:
     """One unit of work: a picklable module-level callable plus arguments.
 
-    ``label`` names the job in logs and progress output; ``cache_key``
-    (any hashable, or None) lets a :class:`Sweep` reuse a previous result
-    for an identical job instead of re-running it.
+    ``label`` names the job in logs and progress output.
     """
 
     fn: Callable[..., Any]
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
     label: str = ""
-    cache_key: Optional[Hashable] = None
 
     def run(self) -> Any:
         return self.fn(*self.args, **self.kwargs)
@@ -152,10 +149,7 @@ class Sweep:
 
     ``Sweep.run()`` returns one result per job, in submission order,
     fanning out over a process pool when :func:`plan_execution` says it
-    can help. An optional
-    ``cache`` dict (keyed by ``Job.cache_key``) short-circuits jobs whose
-    result is already known — shared arms in a multi-figure report run
-    once.
+    can help.
     """
 
     def __init__(self, jobs: Iterable[Job] = ()):
@@ -182,48 +176,26 @@ class Sweep:
     def __len__(self) -> int:
         return len(self.jobs)
 
-    def run(
-        self,
-        max_workers: Optional[int] = None,
-        cache: Optional[dict] = None,
-    ) -> list[Any]:
+    def run(self, max_workers: Optional[int] = None) -> list[Any]:
         """Run every job; results in submission order."""
         jobs = self.jobs
-        if cache is not None:
-            pending = [
-                job for job in jobs
-                if job.cache_key is None or job.cache_key not in cache
-            ]
-        else:
-            pending = list(jobs)
-        plan = plan_execution(len(pending), max_workers=max_workers)
+        plan = plan_execution(len(jobs), max_workers=max_workers)
         if not plan.parallel:
-            fresh = {id(job): job.run() for job in pending}
-        else:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=plan.workers, initializer=mark_worker
-                ) as pool:
-                    futures = [(job, pool.submit(_run_job, job)) for job in pending]
-                    fresh = {id(job): future.result() for job, future in futures}
-            except Exception as exc:
-                # Pool trouble (unpicklable job, broken worker, fork
-                # refused by the sandbox): jobs are pure functions of
-                # their arguments, so a serial re-run is always safe — a
-                # genuine experiment error re-raises from here with an
-                # honest traceback.
-                log_fallback(f"{type(exc).__name__}: {exc}")
-                fresh = {id(job): job.run() for job in pending}
-        results = []
-        for job in jobs:
-            if id(job) in fresh:
-                result = fresh[id(job)]
-                if cache is not None and job.cache_key is not None:
-                    cache[job.cache_key] = result
-            else:
-                result = cache[job.cache_key]
-            results.append(result)
-        return results
+            return [job.run() for job in jobs]
+        try:
+            with ProcessPoolExecutor(
+                max_workers=plan.workers, initializer=mark_worker
+            ) as pool:
+                futures = [pool.submit(_run_job, job) for job in jobs]
+                return [future.result() for future in futures]
+        except Exception as exc:
+            # Pool trouble (unpicklable job, broken worker, fork refused
+            # by the sandbox): jobs are pure functions of their
+            # arguments, so a serial re-run is always safe — a genuine
+            # experiment error re-raises from here with an honest
+            # traceback.
+            log_fallback(f"{type(exc).__name__}: {exc}")
+            return [job.run() for job in jobs]
 
 
 def run_jobs(jobs: Iterable[Job], max_workers: Optional[int] = None) -> list[Any]:

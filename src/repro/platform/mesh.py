@@ -10,7 +10,7 @@ exposes per-link agents so both centralized (star) and distributed
 (neighbour-gossip) coordination algorithms can be built on the same
 Tune/Trigger vocabulary.
 
-Since the fabric refactor, a mesh is also the transport of a declared
+A mesh is the transport of a declared
 :class:`~repro.platform.fabric.FabricTopology`: :meth:`apply_topology`
 wires the spec's links at their declared latencies, :meth:`attach_directory`
 binds every agent to a :class:`~repro.platform.directory.Directory` so
@@ -106,23 +106,6 @@ class CoordinationMesh:
         if self.directory is not None:
             agent_a.attach_directory(self.directory, self._forwarder(name_a))
             agent_b.attach_directory(self.directory, self._forwarder(name_b))
-
-    def connect_star(self, hub: str) -> None:
-        """Link every island to ``hub`` (centralized coordinator layout)."""
-        for name in self._islands:
-            if name != hub and (hub, name) not in self._agents:
-                self.connect(hub, name)
-
-    def connect_ring(self) -> None:
-        """Link islands in a ring (distributed neighbour-gossip layout)."""
-        names = list(self._islands)
-        count = len(names)
-        if count < 2:
-            raise ValueError("a ring needs at least two islands")
-        for i, name in enumerate(names):
-            neighbor = names[(i + 1) % count]
-            if (name, neighbor) not in self._agents:
-                self.connect(name, neighbor)
 
     # -- fabric wiring ------------------------------------------------------
 

@@ -22,9 +22,10 @@ The pieces:
   are stamped ``(deliver_at, dst, src, seq)`` and applied in exactly
   that order, so the receiving shard's trajectory is a function of the
   message set, not of which process produced it.
-* :class:`LinkHealth` — heartbeat-driven UP/SUSPECT/DOWN detection with
-  epoch-bump recovery for boundary links (the PR-5 fault idiom crossing
-  shard boundaries).
+* :class:`BoundaryEndpoint` — one end of a boundary link as a channel
+  endpoint, so a :class:`~repro.coordination.CoordinationAgent` and the
+  platform's :class:`~repro.faults.FailureDetector` run across shard
+  boundaries unchanged.
 * :class:`ShardHost` — one shard's simulator + router + world, advanced
   window by window.
 * :class:`WindowJournal` — the bounded per-run journal of every window
@@ -43,8 +44,12 @@ The pieces:
 
 from .config import ShardConfig
 from .plan import ShardPlan
-from .ports import BoundaryMessage, BoundaryRouter, BoundaryRoutingError
-from .health import LINK_DOWN, LINK_SUSPECT, LINK_UP, LinkHealth
+from .ports import (
+    BoundaryEndpoint,
+    BoundaryMessage,
+    BoundaryRouter,
+    BoundaryRoutingError,
+)
 from .host import ShardContext, ShardHost
 from .journal import WindowJournal
 from .supervisor import (
@@ -64,16 +69,13 @@ from .runtime import (
 
 __all__ = [
     "BUILD_WINDOW",
+    "BoundaryEndpoint",
     "BoundaryMessage",
     "BoundaryRouter",
     "BoundaryRoutingError",
     "DegradationLog",
     "FINISH_WINDOW",
     "FaultScript",
-    "LINK_DOWN",
-    "LINK_SUSPECT",
-    "LINK_UP",
-    "LinkHealth",
     "ShardConfig",
     "ShardContext",
     "ShardHost",

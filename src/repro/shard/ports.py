@@ -197,3 +197,32 @@ class BoundaryRouter:
             f"<BoundaryRouter shard={self.shard_index} sent={self.sent} "
             f"dropped={self.dropped} delivered={self.delivered}>"
         )
+
+
+class BoundaryEndpoint:
+    """One end of a declared cross-cluster link as a channel endpoint.
+
+    It offers what a :class:`~repro.coordination.CoordinationAgent` and
+    its :class:`~repro.faults.FailureDetector` use of a channel
+    (``name``, ``send``, ``set_receiver``), with the router as transport:
+    a message sent now is delivered to the peer's endpoint one link
+    latency later, in the router's total order, on whichever shard the
+    peer lives.
+    """
+
+    def __init__(self, sim, router: BoundaryRouter, local: str, peer: str):
+        self.sim = sim
+        self.router = router
+        self.name = local
+        self.peer = peer
+        self._receiver: Optional[Callable[[Any], None]] = None
+        router.register(local, "coord", self._deliver, src=peer)
+
+    def set_receiver(self, receiver: Callable[[Any], None]) -> None:
+        self._receiver = receiver
+
+    def send(self, message: Any) -> None:
+        self.router.send(self.name, self.peer, "coord", message, self.sim.now)
+
+    def _deliver(self, message: BoundaryMessage) -> None:
+        self._receiver(message.payload)

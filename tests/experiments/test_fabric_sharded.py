@@ -8,6 +8,8 @@ from repro.experiments import (
     render_fabric_sharded,
     sharded_topology,
 )
+from repro.experiments.fabric_sharded import UPLINK_LATENCY, build_fabric_world
+from repro.shard import ShardPlan, run_sharded
 from repro.sim import ms, seconds
 
 K = 16
@@ -75,6 +77,45 @@ class TestFaultStory:
         assert calm.metrics["boundary"]["dropped"] == 0
         assert calm.convergence_ms is None
         assert calm.detect_ms is None
+
+
+REGISTER_AT = ms(100)
+
+
+def build_registering_world(ctx, cluster):
+    """The calm fabric, plus an entity registered on ``cluster`` at
+    :data:`REGISTER_AT` by whichever shard owns it."""
+    world = build_fabric_world(ctx, 1, seconds(1), False)
+    agent = world.agents.get(cluster)
+    if agent is not None:
+        world.sim.call_at(
+            REGISTER_AT, lambda: agent.register_entity("extra", world.sim.now)
+        )
+    return world
+
+
+class TestRegistrationFanOut:
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "cluster, uplink_hops", [("cluster-0", 1), ("cluster-3", 2)]
+    )
+    def test_every_cluster_learns_a_registration_via_the_root(
+        self, shards, cluster, uplink_hops
+    ):
+        """Registrations fan out from the root, the root's own cluster's
+        included: one hop down from there, two (up, then down) from any
+        other cluster — never left to the slower ring gossip."""
+        plan = ShardPlan(sharded_topology(64), shards=shards)
+        run = run_sharded(
+            plan, build_registering_world, (cluster,), duration=seconds(1)
+        )
+        seen = [
+            data["seen_at"].get("extra")
+            for result in run.results
+            for data in result["clusters"].values()
+        ]
+        assert len(seen) == 8 and None not in seen
+        assert max(seen) - REGISTER_AT == uplink_hops * UPLINK_LATENCY
 
 
 class TestSweep:

@@ -1,6 +1,6 @@
 """The parallel runner must change wall time only, never results.
 
-Covers the typed Sweep/Job fan-out machinery (ordering, caching, the
+Covers the typed Sweep/Job fan-out machinery (ordering, the
 plan_execution serial-degradation rules, REPRO_WORKERS validation, the
 logged pool-failure fallback) and the acceptance criterion for the whole
 optimisation effort: a short RUBiS pair renders bit-identical paper
@@ -101,15 +101,6 @@ class TestSweep:
         assert len(first) == 1
         assert len(again) == 1
 
-    def test_cache_short_circuits_repeat_keys(self):
-        cache = {}
-        jobs = [Job(square, args=(3,), cache_key=("sq", 3))]
-        assert Sweep(jobs).run(cache=cache) == [9]
-        assert cache == {("sq", 3): 9}
-        # Poison the cache: a hit must be returned without re-running.
-        cache[("sq", 3)] = "cached"
-        assert Sweep(jobs).run(cache=cache) == ["cached"]
-
 
 class TestWorkerBudget:
     def test_workers_env_override(self, monkeypatch):
@@ -170,16 +161,12 @@ def _render_all(pair):
 class TestPairBitReproducibility:
     """The acceptance test: artefacts identical across every execution mode."""
 
-    def test_serial_parallel_and_audit_paths_agree(self, tiny_config):
+    def test_serial_parallel_and_audit_paths_agree(self, tiny_config, monkeypatch):
         kwargs = dict(duration=seconds(6), seed=7, config=tiny_config)
-        reference = _render_all(
-            run_rubis_pair(parallel=False, fastpath=True, **kwargs)
-        )
-        audit = _render_all(
-            run_rubis_pair(parallel=False, fastpath=False, **kwargs)
-        )
-        parallel = _render_all(
-            run_rubis_pair(parallel=True, fastpath=True, **kwargs)
-        )
+        with monkeypatch.context() as serial:
+            serial.setenv(PARALLEL_ENV, "0")
+            reference = _render_all(run_rubis_pair(fastpath=True, **kwargs))
+            audit = _render_all(run_rubis_pair(fastpath=False, **kwargs))
+        parallel = _render_all(run_rubis_pair(fastpath=True, **kwargs))
         assert audit == reference, "fast path changed simulation results"
         assert parallel == reference, "parallel execution changed results"

@@ -23,6 +23,7 @@ from repro.platform import (
     UnsupportedTriggerError,
 )
 from repro.sim import Simulator, TraceLog, Tracer, ms, us
+from repro.testbed import Testbed
 from repro.x86 import X86Island, X86Params
 from repro.x86.memory import BalloonDriver
 from repro.x86.xenctrl import MAX_WEIGHT, MIN_WEIGHT
@@ -389,6 +390,21 @@ class TestControllerSnapshotAndAudit:
         assert snap["x86/dvfs"]["kind"] == "dvfs-level"
         assert snap["x86/guest"]["minimum"] == MIN_WEIGHT
         assert snap["x86/guest"]["maximum"] == MAX_WEIGHT
+
+    def test_testbed_snapshot_lists_every_native_knob_kind(self):
+        """A GPU island registered after the two-island Testbed is built
+        joins its controller's snapshot: every island's native knob kind
+        surfaces through the one typed registry."""
+        tb = Testbed()
+        tb.x86.create_vm("guest", weight=256, memory_mb=512)
+        tb.ixp.register_vm_flow("guest", service_weight=2)
+        gpu = GPUIsland(tb.sim, tracer=tb.tracer)
+        gpu.create_context("guest", weight=100)
+        tb.controller.register_island(gpu)
+        kinds = {entry["kind"] for entry in tb.controller.knob_snapshot().values()}
+        assert {
+            "credit-weight", "flow-service-weight", "runlist-weight", "dvfs-level",
+        } <= kinds
 
     def test_platform_audit_merges_and_orders(self):
         sim = Simulator()

@@ -19,32 +19,46 @@ def build_mesh(sim, count, latency=us(100)):
     return mesh, islands
 
 
+def cells(count):
+    return tuple(f"cell-{i}" for i in range(count))
+
+
+def star(count):
+    """Every cell linked to hub cell-0, at build_mesh's default latency."""
+    return FabricTopology.star(cells(count), link_latency=us(100))
+
+
+def ring(count):
+    """Cells linked in a cycle, at build_mesh's default latency."""
+    return FabricTopology.ring(cells(count), link_latency=us(100))
+
+
 class TestTopology:
     def test_star_links_every_island_to_hub(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 4)
-        mesh.connect_star("cell-0")
+        mesh.apply_topology(star(4))
         assert sorted(mesh.neighbors("cell-0")) == ["cell-1", "cell-2", "cell-3"]
         assert mesh.neighbors("cell-2") == ["cell-0"]
 
     def test_ring_gives_each_two_neighbors(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 4)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(4))
         for i in range(4):
             assert len(mesh.neighbors(f"cell-{i}")) == 2
 
     def test_two_island_ring_is_single_link(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 2)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(2))
         assert mesh.neighbors("cell-0") == ["cell-1"]
 
     def test_ring_needs_two_islands(self):
         sim = Simulator()
         mesh, _ = build_mesh(sim, 1)
         with pytest.raises(ValueError):
-            mesh.connect_ring()
+            mesh.apply_topology(ring(1))
 
     def test_self_link_rejected(self):
         sim = Simulator()
@@ -70,7 +84,7 @@ class TestCrossIslandCoordination:
     def test_tune_travels_between_islands(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 3)
-        mesh.connect_star("cell-0")
+        mesh.apply_topology(star(3))
         target = islands[2].create_vm("victim")
         mesh.agent("cell-0", "cell-2").send_tune(EntityId("cell-2", "victim"), +64)
         sim.run(until=ms(50))
@@ -79,7 +93,7 @@ class TestCrossIslandCoordination:
     def test_trigger_travels_between_islands(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 2)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(2))
         target = islands[1].create_vm("victim")
         mesh.agent("cell-0", "cell-1").send_trigger(EntityId("cell-1", "victim"))
         sim.run(until=ms(50))
@@ -89,7 +103,7 @@ class TestCrossIslandCoordination:
         """A tune on one spoke is applied at that spoke only."""
         sim = Simulator()
         mesh, islands = build_mesh(sim, 3)
-        mesh.connect_star("cell-0")
+        mesh.apply_topology(star(3))
         vm1 = islands[1].create_vm("guest")
         vm2 = islands[2].create_vm("guest")
         mesh.agent("cell-0", "cell-1").send_tune(EntityId("cell-1", "guest"), +64)
@@ -100,7 +114,7 @@ class TestCrossIslandCoordination:
     def test_messages_handled_accounting(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 2)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(2))
         islands[1].create_vm("guest")
         for _ in range(3):
             mesh.agent("cell-0", "cell-1").send_tune(EntityId("cell-1", "guest"), +8)
@@ -111,7 +125,7 @@ class TestCrossIslandCoordination:
     def test_handling_charged_to_cell_dom0(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 2)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(2))
         islands[1].create_vm("guest")
         before = islands[1].dom0.cpu_time()
         mesh.agent("cell-0", "cell-1").send_tune(EntityId("cell-1", "guest"), +8)
@@ -171,7 +185,7 @@ class TestTopologyWiring:
     def test_without_directory_unknown_entities_still_drop(self):
         sim = Simulator()
         mesh, islands = build_mesh(sim, 2)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(2))
         mesh.agent("cell-0", "cell-1").send_tune(EntityId("cell-9", "ghost"), +8)
         sim.run(until=ms(50))
         assert mesh.agent("cell-1", "cell-0").unknown_entities == 1
@@ -182,7 +196,7 @@ class TestMeshFaultInjection:
 
     def build_ring(self, sim, count=4):
         mesh, islands = build_mesh(sim, count)
-        mesh.connect_ring()
+        mesh.apply_topology(ring(count))
         for island in islands:
             island.create_vm("guest")
         return mesh, islands

@@ -1,24 +1,28 @@
-"""LinkHealth: the PR-5 fault idiom across a shard boundary.
+"""The platform FailureDetector across a shard boundary.
 
 A two-cluster fabric with a scripted bidirectional blackout on its one
-uplink: both endpoints must walk UP -> SUSPECT -> DOWN at deterministic
-times, suppress nothing they shouldn't, and on heal bump their epoch and
-fire the ``on_up`` replay hook — identically at any shard count.
+uplink. Each end runs a :class:`FailureDetector` on a handler-less
+:class:`CoordinationAgent` whose endpoint is a :class:`BoundaryEndpoint`:
+both must walk UP -> SUSPECT -> DOWN at deterministic times and, on heal,
+bump their epoch and fire the ``on_up`` replay hook — identically at any
+shard count.
 """
 
 import pytest
 
-from repro.faults import ChannelBlackout
-from repro.platform import FabricTopology
-from repro.shard import (
-    LINK_DOWN,
-    LINK_SUSPECT,
-    LINK_UP,
-    LinkHealth,
-    ShardPlan,
-    run_sharded,
+from repro.coordination import CoordinationAgent
+from repro.faults import (
+    PEER_DOWN,
+    PEER_SUSPECT,
+    PEER_UP,
+    ChannelBlackout,
+    FailureDetector,
+    FaultConfig,
 )
+from repro.platform import FabricTopology
+from repro.shard import BoundaryEndpoint, ShardPlan, run_sharded
 from repro.sim import ms, seconds
+from repro.x86 import X86Island, X86Params
 
 BLACKOUT_START = ms(400)
 BLACKOUT_LEN = ms(300)
@@ -46,7 +50,12 @@ class HealthWorld:
         for local, peer in (("left-0", "right-0"), ("right-0", "left-0")):
             if local not in ctx.islands:
                 continue
-            link = LinkHealth(ctx.sim, ctx.router, local, peer, period=period)
+            island = X86Island(ctx.sim, X86Params(num_cpus=1), name=local)
+            endpoint = BoundaryEndpoint(ctx.sim, ctx.router, local, peer)
+            agent = CoordinationAgent(ctx.sim, island, endpoint)
+            link = FailureDetector(
+                ctx.sim, agent, FaultConfig(heartbeat_period=period)
+            )
             self.links[local] = link
             self.replays[local] = 0
             link.on_up(lambda local=local: self._bump(local))
@@ -85,12 +94,12 @@ class TestHealthTimeline:
     @pytest.mark.parametrize("endpoint", ["left-0", "right-0"])
     def test_up_suspect_down_up_walk(self, view, endpoint):
         states = [state for _t, state, _r in view[endpoint]["health"]["transitions"]]
-        assert states == [LINK_UP, LINK_SUSPECT, LINK_DOWN, LINK_UP]
+        assert states == [PEER_UP, PEER_SUSPECT, PEER_DOWN, PEER_UP]
 
     @pytest.mark.parametrize("endpoint", ["left-0", "right-0"])
     def test_detection_and_recovery_times(self, view, endpoint):
         transitions = view[endpoint]["health"]["transitions"]
-        down_at = next(t for t, state, _r in transitions if state == LINK_DOWN)
+        down_at = next(t for t, state, _r in transitions if state == PEER_DOWN)
         back_at = transitions[-1][0]
         # 4 missed 50 ms heartbeats after the last pre-blackout beat.
         assert BLACKOUT_START < down_at <= BLACKOUT_START + ms(250)
