@@ -79,6 +79,11 @@ class ProbeCell:
     credit inflow (1/3 of the pool) drops below its 75% burn and it
     falls into the OVER band, where it suffers; :meth:`decide` is the
     ±128 weight rule that answers it.
+
+    Its loops, like :func:`run_fabric_arm`'s, sleep with ``yield <int>``:
+    the allocation-free twin of ``yield sim.timeout(<int>)``, with the
+    same sequence number and a None resume value
+    (``Simulator(fastpath=False)`` routes it through a ``Timeout``).
     """
 
     def __init__(self, island, jitter, slot: int, slots: int, phase: int):
@@ -96,14 +101,14 @@ class ProbeCell:
             )
 
     def _probe_loop(self, sim, jitter):
-        yield sim.timeout(jitter.randrange(0, PROBE_PERIOD))
+        yield jitter.randrange(0, PROBE_PERIOD)
         while True:
             start = sim.now
             yield self.probe.execute(PROBE_DEMAND, "user")
             latency = sim.now - start - PROBE_DEMAND
             self.overall.add(latency)
             self.recent.add(latency)
-            yield sim.timeout(PROBE_PERIOD)
+            yield PROBE_PERIOD
 
     def reset_recent(self) -> float:
         """Mean probe latency since the last reset (0 if none), then reset."""
@@ -125,7 +130,7 @@ def _hog_loop(sim, vm, slot: int, slots: int, phase: int):
         if (sim.now // slot) % slots == phase:
             yield vm.execute(HOG_BURST, "user")
         else:
-            yield sim.timeout(HOG_BURST)
+            yield HOG_BURST
 
 
 @dataclass
@@ -205,7 +210,7 @@ def run_fabric_arm(
 
         def reporter(sim, name):
             while True:
-                yield sim.timeout(POLICY_PERIOD)
+                yield POLICY_PERIOD
                 mesh.agent(name, hub).endpoint.send(LoadReportMessage(
                     island=name, probe_latency_ns=cells[name].reset_recent()
                 ))
@@ -222,7 +227,7 @@ def run_fabric_arm(
         # rely on the directory's anti-entropy rounds alone.
         def local_controller(sim, name):
             while True:
-                yield sim.timeout(POLICY_PERIOD)
+                yield POLICY_PERIOD
                 mean = cells[name].reset_recent()
                 delta = cells[name].decide(mean)
                 if delta:

@@ -682,6 +682,9 @@ class GossipDirectory(DirectoryBase):
         #: by every node is fabric-wide visible.
         self._holding: dict[str, int] = {}
         self._reach: dict[EntityId, int] = {}
+        #: The entities whose authoritative record some node still lacks
+        #: (reach below the node count): the only records a merge can land.
+        self._spreading: set[EntityId] = set()
         self.rounds = 0
         self.exchanges = 0
         self._gossip_task = PeriodicTask(
@@ -694,7 +697,10 @@ class GossipDirectory(DirectoryBase):
         self._node_epochs[island.name] = 0
         self._heartbeats[island.name] = 0
         self._holding[island.name] = 0
-        # The newcomer holds no record yet, so none is fabric-wide visible.
+        # The newcomer holds no record yet, so none is fabric-wide visible
+        # and every entity spreads again. The visible ones are exactly
+        # those not spreading already, so re-adding them costs O(visible).
+        self._spreading.update(self._visible_at)
         self._visible_at.clear()
 
     def _record_owner(self, island_name: str, entity_id: EntityId, moved: bool) -> None:
@@ -724,6 +730,7 @@ class GossipDirectory(DirectoryBase):
             self._visible_at[entity_id] = self.sim.now
         else:
             self._visible_at.pop(entity_id, None)
+            self._spreading.add(entity_id)
 
     def owner_name(self, entity_id: EntityId) -> Optional[str]:
         record = self._authoritative.get(entity_id)
@@ -732,12 +739,18 @@ class GossipDirectory(DirectoryBase):
     def lookup(self, entity_id: EntityId, frm: Optional[str] = None) -> Optional[str]:
         """A purely local read of ``frm``'s view — one message at the
         reading node, nowhere else. May be stale or None before the
-        epidemic reaches that node: that is the contract."""
-        if not self._views:
-            return None
-        node = frm if frm in self._views else next(iter(self._views))
-        self._count(node)
-        record = self._views[node].get(entity_id)
+        epidemic reaches that node: that is the contract. ``frm=None``
+        reads the first admitted node's view; an unregistered ``frm``
+        raises KeyError."""
+        if frm is None:
+            if not self._views:
+                return None
+            frm = next(iter(self._views))
+        view = self._views.get(frm)
+        if view is None:
+            raise KeyError(f"no node {frm!r} in the gossip directory")
+        self._count(frm)
+        record = view.get(entity_id)
         return record.owner if record is not None else None
 
     # -- the epidemic --------------------------------------------------------
@@ -761,37 +774,67 @@ class GossipDirectory(DirectoryBase):
 
     def _exchange(self, a: str, b: str) -> None:
         """Push-pull anti-entropy between two nodes: both end up with the
-        union of their views, newer ``(epoch, version)`` stamps winning.
-        Costs two messages at each end (request + response).
+        union of their views, newer stamps winning. Costs two messages at
+        each end (request + response).
 
-        Every record is born in :meth:`_record_owner` with a stamp newer
-        than any before it for its entity, so an equal stamp means the
-        same record and the authoritative record is the newest. An
-        ownership merge therefore skips a receiver that already holds
-        every authoritative record, and any record the receiver already
-        holds: those offers could change nothing."""
+        Peer records are born only in :meth:`_gossip_round`, where a
+        node's heartbeat rises by one per refresh and its epoch never
+        falls. For one node, a higher ``heartbeat`` therefore means a
+        higher ``(epoch, heartbeat)`` stamp, and an equal one the same
+        record. So one pass over ``a``'s peer view gives both ends the
+        newer record, new keys entering ``b`` in ``a``'s order; a
+        catch-up pass, in ``b``'s order, runs only when ``b`` names
+        nodes that ``a`` lacks."""
         self.exchanges += 1
         self._count(a, 2)
         self._count(b, 2)
         self._merge_views(self._views[a], b)
         self._merge_views(self._views[b], a)
         peers_a, peers_b = self._peer_views[a], self._peer_views[b]
-        for source, target in ((peers_a, peers_b), (peers_b, peers_a)):
-            for node, record in source.items():
-                existing = target.get(node)
-                if existing is None or record.stamp > existing.stamp:
-                    target[node] = record
+        for node, mine in peers_a.items():
+            theirs = peers_b.get(node)
+            if theirs is None or mine.heartbeat > theirs.heartbeat:
+                peers_b[node] = mine
+            elif theirs.heartbeat > mine.heartbeat:
+                peers_a[node] = theirs
+        if len(peers_b) > len(peers_a):
+            for node, theirs in peers_b.items():
+                if node not in peers_a:
+                    peers_a[node] = theirs
 
     def _merge_views(self, source: dict[EntityId, OwnershipRecord], node: str) -> None:
-        """Offer ``source``'s records to ``node`` in ``source``'s order."""
+        """Offer ``source``'s records to ``node``.
+
+        Every record is born in :meth:`_record_owner` with a stamp newer
+        than any before it for its entity, so the authoritative record is
+        the newest. Only a spreading entity's record can land: every other
+        entity's authoritative record is held by every node, so sender and
+        receiver hold the same object. While fewer entities spread than
+        ``source`` holds, a lone differing record is offered alone, where
+        order is moot. Otherwise ``source`` is scanned in order, so new
+        keys enter the receiver's view, and ``discovery-converged`` traces
+        fire, in the sender's order."""
         if self._holding[node] == len(self._authoritative):
             return
         view = self._views[node]
+        if len(self._spreading) < len(source):
+            landing = None
+            for entity in self._spreading:
+                record = source.get(entity)
+                if record is not None and view.get(entity) is not record:
+                    if landing is not None:
+                        break  # two or more: the in-order scan below
+                    landing = record
+            else:
+                if landing is not None:
+                    self._offer(node, landing.entity, landing)
+                return
         for entity, record in source.items():
             if view.get(entity) is not record:
                 self._offer(node, entity, record)
 
     def _offer(self, node: str, entity: EntityId, record: OwnershipRecord) -> None:
+        """The one place an offered record lands in a node's view."""
         view = self._views[node]
         existing = view.get(entity)
         if existing is not None and existing.stamp >= record.stamp:
@@ -801,6 +844,7 @@ class GossipDirectory(DirectoryBase):
             self._holding[node] += 1
             self._reach[entity] += 1
             if self._reach[entity] == len(self._views):
+                self._spreading.discard(entity)
                 self._visible_at[entity] = self.sim.now
                 if self.tracer.wants("discovery-converged"):
                     self.tracer.emit(
@@ -828,8 +872,7 @@ class GossipDirectory(DirectoryBase):
     def is_converged(self) -> bool:
         """True when every node's view holds every authoritative record,
         including nodes admitted after a record was stamped."""
-        nodes = len(self._views)
-        return all(reach == nodes for reach in self._reach.values())
+        return not self._spreading
 
 
 #: Directory flavours :func:`build_directory` knows how to construct.

@@ -18,6 +18,11 @@ T = TypeVar("T")
 class RandomStream(random.Random):
     """A named ``random.Random`` with a few distribution helpers."""
 
+    def __new__(cls, seed_material: bytes, name: str):
+        # Python 3.10's random.Random.__new__ takes at most one argument;
+        # __init__ seeds the generator, so none is passed on.
+        return super().__new__(cls)
+
     def __init__(self, seed_material: bytes, name: str):
         digest = hashlib.sha256(seed_material).digest()
         super().__init__(int.from_bytes(digest[:8], "big"))

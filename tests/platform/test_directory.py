@@ -390,3 +390,44 @@ class TestGossipDirectory:
         # directions of all 16 exchanges: 512 offers that change nothing.
         assert directory.exchanges == exchanges + 16
         assert len(offers) == 0
+
+    def test_spreading_round_looks_up_only_spreading_records(self):
+        sim = Simulator()
+        names = tuple(f"isle-{i}" for i in range(16))
+        directory, islands = build("gossip", sim, names=names)
+        for island in islands.values():
+            for index in range(4):
+                island.create_vm(f"vm-{index}")
+        sim.run(until=seconds(1))
+        assert directory.is_converged()
+        islands["isle-0"].create_vm("fresh")
+        fresh = EntityId("isle-0", "fresh")
+        assert len(directory.known_entities()) == 81
+        lookups = []
+
+        class CountingView(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        for node, view in directory._views.items():
+            directory._views[node] = CountingView(view)
+        directory._gossip_round()
+        # Every other entity's record is held everywhere, so only the
+        # fresh one can land: a full scan would look up all 81 entities.
+        assert lookups
+        assert set(lookups) == {fresh}
+
+    def test_lookup_from_unregistered_node_raises(self):
+        sim = Simulator()
+        directory, islands = build("gossip", sim)
+        islands["isle-0"].create_vm("guest")
+        entity = EntityId("isle-0", "guest")
+        counts = directory.message_counts()
+        with pytest.raises(KeyError, match="isle-9"):
+            directory.lookup(entity, frm="isle-9")
+        # No node handled the read, so none is charged for it.
+        assert directory.message_counts() == counts
+        # frm=None still reads the first admitted node's view.
+        assert directory.lookup(entity) == "isle-0"
+        assert directory.messages_at("isle-0") == counts["isle-0"] + 1

@@ -8,11 +8,15 @@ production class through one schedule of island admissions, new
 registrations, same-island re-registrations, moves, isolate/heal and
 simulation steps. After every step both directories must hold the same
 views in the same insertion order, the same message accounting and the
-same discovery instrumentation, and each directory's holding counts must
-agree with a recount from its views.
+same discovery instrumentation, and each directory's holding counts and
+spreading set must agree with a recount from its views. The explicit
+examples make every branch of the production merge run on every run: a
+heal that leaves one record spreading (offered alone), two records that
+land in one receiver (the in-order scan), and an admission after
+convergence (the peer merge's catch-up pass).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.platform import EntityId, GossipDirectory, PeerRecord
 from repro.sim import Simulator, ms
@@ -136,6 +140,9 @@ def check_holding_counts(directory: GossipDirectory) -> None:
     assert directory._holding == holding
     assert directory._reach == reach
     assert sum(directory._holding.values()) == sum(directory._reach.values())
+    assert directory._spreading == {
+        entity for entity, count in reach.items() if count < len(views)
+    }
     everywhere = {entity: count == len(views) for entity, count in reach.items()}
     assert directory.is_converged() == all(everywhere.values())
     for entity, visible in everywhere.items():
@@ -154,7 +161,15 @@ STEP = st.one_of(
 )
 
 
+CONVERGE = ("run", 300, 0)
+
+
 @settings(max_examples=15, deadline=None)
+@example(3, 1, [CONVERGE, ("isolate", 2, 0), ("register", 2, 0), ("run", 100, 0),
+                ("heal", 2, 0), CONVERGE])
+@example(3, 1, [CONVERGE, ("isolate", 2, 0), ("register", 2, 0), ("register", 2, 0),
+                ("heal", 2, 0), CONVERGE])
+@example(2, 1, [CONVERGE, ("admit", 0, 0), CONVERGE])
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=1000),
