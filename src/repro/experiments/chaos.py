@@ -8,8 +8,8 @@ demonstrates — and measures — the full fault arc:
 
 * **detection** — heartbeats stop crossing; both failure detectors walk
   their peer UP -> SUSPECT -> DOWN (sim-time latency per side);
-* **fallback** — the DOWN transition reverts declared baselines: first
-  ``op == "revert"`` record in the platform actuation audit;
+* **fallback** — the DOWN transition reverts declared baselines: the
+  earliest ``op == "revert"`` record in the islands' actuation audits;
 * **recovery** — heartbeats resume after the blackout, the detectors
   return to UP and bump epochs;
 * **reconvergence** — the RUBiS policy replays its desired snapshot and
@@ -186,13 +186,14 @@ def run_chaos_arm(
         detection_ms[side] = -1.0 if left_up is None else (left_up - FAULT_START) / 1e6
         recovery_ms[side] = -1.0 if back_up is None else (back_up - fault_end) / 1e6
 
-    fallback_at = next(
+    fallback_at = min(
         (
             record.time
-            for record in testbed.controller.actuation_audit()
+            for island in (testbed.x86, testbed.ixp)
+            for record in island.knobs.audit
             if record.op == "revert" and record.time >= FAULT_START
         ),
-        None,
+        default=None,
     )
 
     stuck = sum(

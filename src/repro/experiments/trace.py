@@ -35,7 +35,7 @@ class TraceRunResult:
     spans_minted: int
     #: Fraction of applied coordination messages a decision span explains.
     link_fraction: float
-    #: The controller's control-loop introspection blob.
+    #: The observatory's control-loop introspection blob.
     report: dict[str, Any] = field(default_factory=dict)
 
 
@@ -79,7 +79,7 @@ def run_traced_rubis(
         loops_coalesced=stats.coalesced_applied,
         spans_minted=stats.minted,
         link_fraction=collector.link_fraction(applied),
-        report=testbed.controller.control_loops(),
+        report=collector.report(),
     )
 
 

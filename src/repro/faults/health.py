@@ -285,7 +285,9 @@ class FailureDetector:
     # -- introspection ------------------------------------------------------
 
     def health(self) -> dict[str, Any]:
-        """Snapshot for :meth:`~repro.platform.directory.DirectoryBase.health`."""
+        """Peer-health snapshot: state, epochs, heartbeat counters and the
+        transition timeline. Read it per detector, from
+        ``testbed.detectors[side]`` or ``mesh.detector(a, b)``."""
         return {
             "state": self.state,
             "epoch": self.agent.epoch,

@@ -442,8 +442,8 @@ class ReliableChannel:
 
     def dead_letters_by_entity(self) -> dict[str, int]:
         """Dead-lettered messages per target entity, both directions
-        merged — the entity-granular view :meth:`~repro.platform.directory.
-        DirectoryBase.channel_health` surfaces so operators can see *who* is losing
+        merged — the entity-granular companion of :meth:`stats`'s
+        ``dead_lettered`` count, so operators can see *who* is losing
         coordination, not just that frames died."""
         merged = dict(self.a.dead_letters_by_entity)
         for entity, count in self.b.dead_letters_by_entity.items():

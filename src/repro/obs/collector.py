@@ -25,7 +25,7 @@ frame. Percentile summaries are available per entity and per reason tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from ..metrics.stats import Summary, summarize
@@ -195,8 +195,6 @@ class ControlLoopCollector:
             self.restored += 1
             index = self._await_restore.pop(state.span_id, None)
             if index is not None:
-                from dataclasses import replace  # noqa: PLC0415 — tiny, stdlib
-
                 self.records[index] = replace(
                     self.records[index], restored_at=record.time
                 )
@@ -326,9 +324,8 @@ class ControlLoopCollector:
 
     def report(self) -> dict[str, Any]:
         """Structured introspection blob: counters plus per-entity and
-        per-reason stage percentiles (what
-        :meth:`~repro.platform.directory.DirectoryBase.control_loops`
-        returns)."""
+        per-reason stage percentiles. Read it from the testbed's
+        ``observatory`` (None when tracing is off)."""
         stats = self.stats()
         return {
             "minted": stats.minted,

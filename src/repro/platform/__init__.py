@@ -36,7 +36,6 @@ from .knobs import (
     UnsupportedTriggerError,
     weight_knob,
 )
-from .protocols import HealthSource, Observatory, StatsChannel
 
 __all__ = [
     "ACTUATION_TRACE_KINDS",
@@ -51,16 +50,13 @@ __all__ = [
     "EntityId",
     "FabricTopology",
     "GossipDirectory",
-    "HealthSource",
     "HierarchicalDirectory",
     "Island",
     "Knob",
     "KnobError",
     "KnobRegistry",
-    "Observatory",
     "OwnershipRecord",
     "PeerRecord",
-    "StatsChannel",
     "TriggerSpec",
     "UnknownEntityError",
     "UnknownKnobError",

@@ -1,10 +1,10 @@
-"""The directory layer: pluggable entity-ownership and health registries.
+"""The directory layer: pluggable entity-ownership registries.
 
 The paper's prototype registers every island with one global controller
 (§2.3) — fine for two islands, a scaling wall for hundreds. This module
-extracts the controller's duties (entity ownership, channel health, peer
-health, actuation introspection, the observatory) behind a
-:class:`Directory` contract with three interchangeable implementations:
+extracts the controller's one duty, resolving which island owns which
+entity, behind a :class:`Directory` contract with three interchangeable
+implementations:
 
 * :class:`CentralDirectory` — today's behaviour and the audit baseline:
   one authoritative table, every discovery message lands on the hub
@@ -37,11 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol, runtime_checkable
 
-from ..sim import PeriodicTask, RandomStream, RandomStreams, Simulator, Tracer, ms
+from ..sim import PeriodicTask, RandomStreams, Simulator, Tracer, ms
 from .fabric import FabricTopology
 from .identity import EntityId
 from .island import Island
-from .protocols import HealthSource, Observatory, StatsChannel
 
 
 class UnknownEntityError(KeyError):
@@ -53,9 +52,11 @@ class Directory(Protocol):
     """What a control-plane directory must provide.
 
     Structural contract implemented by :class:`CentralDirectory`,
-    :class:`HierarchicalDirectory` and :class:`GossipDirectory`.
-    Anything consuming "the controller" — testbeds, meshes, agents,
-    metrics collectors — should require no more than this.
+    :class:`HierarchicalDirectory` and :class:`GossipDirectory`:
+    island registration, entity ownership and discovery, and per-node
+    message accounting. Anything consuming "the controller" — testbeds,
+    meshes, agents — should require no more than this. Telemetry is read
+    from the component that produces it, not through the directory.
     """
 
     def register_island(self, island: Island) -> None: ...
@@ -71,16 +72,6 @@ class Directory(Protocol):
     def island(self, name: str) -> Island: ...
 
     def islands(self) -> Iterable[Island]: ...
-
-    def register_channel(self, name: str, channel: StatsChannel) -> None: ...
-
-    def channel_health(self) -> dict[str, dict]: ...
-
-    def register_health(self, name: str, source: HealthSource) -> None: ...
-
-    def health(self) -> dict[str, dict]: ...
-
-    def knob_snapshot(self) -> dict[str, dict]: ...
 
     def message_counts(self) -> dict[str, int]: ...
 
@@ -126,9 +117,9 @@ class PeerRecord:
 class DirectoryBase:
     """Shared machinery of every directory implementation.
 
-    Holds the island/channel/health/observatory registries (identical
-    across fabrics), per-node message accounting, partition bookkeeping
-    (:meth:`isolate` / :meth:`heal`) and the entity-moved audit.
+    Holds the island registry (identical across fabrics), per-node
+    message accounting, partition bookkeeping (:meth:`isolate` /
+    :meth:`heal`), discovery instrumentation and the entity-moved audit.
     Ownership storage and resolution are the strategy subclasses vary.
     """
 
@@ -142,11 +133,6 @@ class DirectoryBase:
         self.sim = sim
         self.tracer = tracer or Tracer(sim, enabled=False)
         self._islands: dict[str, Island] = {}
-        self._channels: dict[str, StatsChannel] = {}
-        self._health_sources: dict[str, HealthSource] = {}
-        #: The attached control-loop observatory (a
-        #: :class:`~repro.obs.ControlLoopCollector`), when tracing is on.
-        self._observatory: Optional[Observatory] = None
         #: Entities that re-registered from a different island — counted
         #: and traced (``entity-moved``), never silently overwritten.
         self.entity_moves = 0
@@ -309,122 +295,6 @@ class DirectoryBase:
     def messages_at(self, node: str) -> int:
         """Messages this directory accounted to ``node``."""
         return self._node_messages.get(node, 0)
-
-    # -- channel health ----------------------------------------------------
-
-    def register_channel(self, name: str, channel: StatsChannel) -> None:
-        """Admit a coordination channel (raw or reliable) for platform-wide
-        health reporting. ``channel`` must satisfy the
-        :class:`~repro.platform.protocols.StatsChannel` protocol."""
-        if name in self._channels:
-            raise ValueError(f"channel {name!r} already registered")
-        if not isinstance(channel, StatsChannel):
-            raise TypeError(f"channel {name!r} does not expose stats()")
-        self._channels[name] = channel
-        self.tracer.emit("controller", "channel-registered", channel=name)
-
-    def channel_health(self) -> dict[str, dict]:
-        """Current counters of every registered coordination channel —
-        the platform-wide view of delivery, loss, retransmission and
-        dead-letter behaviour that scaling to many islands requires.
-        Channels exposing ``dead_letters_by_entity()`` (the reliable
-        layer) additionally report *which* entities' frames died, so a
-        health consumer can react per target instead of reading one bare
-        counter."""
-        health: dict[str, dict] = {}
-        for name, channel in self._channels.items():
-            stats = dict(channel.stats())
-            by_entity = getattr(channel, "dead_letters_by_entity", None)
-            if callable(by_entity):
-                stats["dead_letters_by_entity"] = by_entity()
-            health[name] = stats
-        return health
-
-    # -- peer health ---------------------------------------------------------
-
-    def register_health(self, name: str, source: HealthSource) -> None:
-        """Admit a peer-health source (a :class:`~repro.faults.
-        FailureDetector`, or anything satisfying
-        :class:`~repro.platform.protocols.HealthSource`)."""
-        if name in self._health_sources:
-            raise ValueError(f"health source {name!r} already registered")
-        if not isinstance(source, HealthSource):
-            raise TypeError(f"health source {name!r} does not expose health()")
-        self._health_sources[name] = source
-        self.tracer.emit("controller", "health-registered", detector=name)
-
-    def health(self) -> dict[str, dict]:
-        """Peer-health snapshot of every registered failure detector:
-        state, epochs, heartbeat counters and the transition timeline.
-        Empty when the fault domain is unarmed."""
-        return {name: source.health() for name, source in self._health_sources.items()}
-
-    # -- actuation layer ----------------------------------------------------
-
-    def knob_snapshot(self) -> dict[str, dict]:
-        """Typed description of every knob registered platform-wide.
-
-        Keys are stringified entity ids (``island/name``); values carry the
-        knob kind, native unit, current value, bounds, step, trigger
-        capability and active lease count — the reflective capability
-        discovery that scaling coordination to many resource types needs.
-        """
-        snapshot: dict[str, dict] = {}
-        for island in self._islands.values():
-            registry = getattr(island, "knobs", None)
-            if registry is not None:
-                snapshot.update(registry.snapshot())
-        return snapshot
-
-    def actuation_audit(self) -> list:
-        """Every island's actuation records merged into one platform-wide
-        trail, ordered by (time, island, sequence) — who tuned what, when,
-        the requested vs. clamped-applied value, and any rejection reason."""
-        records = []
-        for island in self._islands.values():
-            registry = getattr(island, "knobs", None)
-            if registry is not None:
-                records.extend(registry.audit)
-        records.sort(key=lambda r: (r.time, r.island, r.seq))
-        return records
-
-    def actuation_stats(self) -> dict[str, dict[str, int]]:
-        """Per-island actuation counters (tunes, clamps, triggers,
-        unsupported triggers), keyed by island name."""
-        return {
-            island.name: island.knobs.stats()
-            for island in self._islands.values()
-            if getattr(island, "knobs", None) is not None
-        }
-
-    # -- control-loop observatory -------------------------------------------
-
-    def attach_observatory(self, collector: Observatory) -> None:
-        """Admit the platform's control-loop observatory.
-
-        ``collector`` must satisfy :class:`~repro.platform.protocols.
-        Observatory` (the platform layer stays import-free of
-        :mod:`repro.obs`); the testbed attaches its
-        :class:`~repro.obs.ControlLoopCollector` here when tracing is
-        enabled.
-        """
-        if not isinstance(collector, Observatory):
-            raise TypeError("observatory does not expose report()")
-        self._observatory = collector
-        self.tracer.emit("controller", "observatory-attached")
-
-    @property
-    def observatory(self) -> Optional[Observatory]:
-        """The attached control-loop collector, or None when untraced."""
-        return self._observatory
-
-    def control_loops(self) -> dict:
-        """Control-loop latency introspection: counters plus per-entity and
-        per-reason stage percentiles of every completed decision loop.
-        Empty when no observatory is attached (tracing off)."""
-        if self._observatory is None:
-            return {}
-        return self._observatory.report()
 
     def __repr__(self) -> str:
         return (
@@ -663,14 +533,11 @@ class GossipDirectory(DirectoryBase):
         sim: Simulator,
         tracer: Optional[Tracer] = None,
         period: Optional[int] = None,
-        rng: Optional[RandomStream] = None,
         seed: int = 1,
     ):
         super().__init__(sim, tracer=tracer)
         self.period = period if period is not None else ms(50)
-        self.rng = rng if rng is not None else RandomStreams(seed).stream(
-            "gossip-directory"
-        )
+        self.rng = RandomStreams(seed).stream("gossip-directory")
         self._views: dict[str, dict[EntityId, OwnershipRecord]] = {}
         self._peer_views: dict[str, dict[str, PeerRecord]] = {}
         self._authoritative: dict[EntityId, OwnershipRecord] = {}
@@ -885,7 +752,6 @@ def build_directory(
     *,
     topology: Optional[FabricTopology] = None,
     tracer: Optional[Tracer] = None,
-    rng: Optional[RandomStream] = None,
     seed: int = 1,
 ) -> DirectoryBase:
     """Construct a directory by name — the one switch a testbed or
@@ -900,5 +766,5 @@ def build_directory(
         return HierarchicalDirectory(sim, topology, tracer=tracer)
     if kind == "gossip":
         period = topology.gossip_period if topology is not None else None
-        return GossipDirectory(sim, tracer=tracer, period=period, rng=rng, seed=seed)
+        return GossipDirectory(sim, tracer=tracer, period=period, seed=seed)
     raise ValueError(f"unknown directory kind {kind!r}; expected one of {DIRECTORY_KINDS}")

@@ -51,6 +51,9 @@ ACTUATION_TRACE_KINDS = (
     "actuation-failed",
 )
 
+#: Audit records a registry keeps; older ones are trimmed away.
+AUDIT_LIMIT = 100_000
+
 
 class KnobError(Exception):
     """Base class for actuation-layer errors."""
@@ -191,7 +194,6 @@ class KnobRegistry:
         sim: Simulator,
         island_name: str,
         tracer: Optional[Tracer] = None,
-        audit_limit: int = 100_000,
     ):
         self.sim = sim
         self.island_name = island_name
@@ -204,7 +206,6 @@ class KnobRegistry:
         #: Monotonic per-registry actuation counter (audit determinism).
         self._seq = 0
         self.audit: list[ActuationRecord] = []
-        self.audit_limit = audit_limit
         self.tunes_applied = 0
         self.tunes_clamped = 0
         self.triggers_applied = 0
@@ -291,8 +292,8 @@ class KnobRegistry:
         self._seq += 1
         self.audit.append(record)
         self._last[entity_id] = record
-        if len(self.audit) > self.audit_limit:
-            del self.audit[: len(self.audit) - self.audit_limit]
+        if len(self.audit) > AUDIT_LIMIT:
+            del self.audit[: len(self.audit) - AUDIT_LIMIT]
         return record
 
     def last_actuation(self, entity_id: EntityId) -> Optional[ActuationRecord]:

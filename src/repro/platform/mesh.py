@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..coordination import CoordinationAgent
+from ..faults import FailureDetector, FaultInjector
 from ..interconnect import CoordinationChannel
 from ..sim import Simulator, Tracer
 from ..x86.vm import VirtualMachine
@@ -50,8 +51,8 @@ class CoordinationMesh:
         #: {a, b} -> the raw channel carrying that link.
         self._channels: dict[frozenset, CoordinationChannel] = {}
         #: (from, to) -> failure detector, once the fault domain is armed.
-        self._detectors: dict[tuple[str, str], object] = {}
-        self._injectors: list = []
+        self._detectors: dict[tuple[str, str], FailureDetector] = {}
+        self._injectors: list[FaultInjector] = []
         #: The declared fabric shape, once applied — used for next-hop
         #: routing of forwarded messages.
         self.topology: Optional[FabricTopology] = None
@@ -162,8 +163,6 @@ class CoordinationMesh:
         UP -> SUSPECT -> DOWN independently. Arming twice is a no-op for
         already-covered links (new links from later ``connect`` calls are
         covered by calling this again)."""
-        from ..faults import FailureDetector
-
         for key, agent in self._agents.items():
             if key not in self._detectors:
                 self._detectors[key] = FailureDetector(
@@ -183,8 +182,6 @@ class CoordinationMesh:
         the rest of the mesh never sees the fault. Returns the armed
         :class:`~repro.faults.FaultInjector` (its ``log`` records fires).
         """
-        from ..faults import FaultInjector
-
         channel = self.channel(name_a, name_b)
         injector = FaultInjector(
             self.sim, plan,
@@ -231,10 +228,7 @@ class CoordinationMesh:
         return total
 
     def dead_letters(self) -> int:
-        """Dead-lettered frames across every link (0 for raw mailboxes,
-        which never retransmit — only reliable endpoints dead-letter)."""
-        total = 0
-        for channel in self._channels.values():
-            stats = channel.stats()
-            total += stats.get("dead_letters", 0)
-        return total
+        """Messages lost for good across every link: the links are raw
+        mailboxes with no retransmission, so every message a link dropped
+        (lost or blacked out) is a dead letter."""
+        return sum(channel.stats()["dropped"] for channel in self._channels.values())

@@ -9,7 +9,7 @@ models then only need :meth:`create_guest_vm` and :meth:`add_client_host`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .coordination import MESSAGE_HANDLING_COST, CoordinationAgent
@@ -26,7 +26,7 @@ from .interconnect import (
 from .ixp import IXPIsland, IXPParams
 from .net import DuplexLink, VirtualNIC, XenBridge
 from .obs import ControlLoopCollector, SpanMinter
-from .platform import CentralDirectory, EntityId, FabricTopology, build_directory
+from .platform import DIRECTORY_KINDS, CentralDirectory, EntityId, FabricTopology, build_directory
 from .platform.mesh import CoordinationMesh
 from .sim import RandomStreams, Simulator, Tracer, us
 from .x86 import VirtualMachine, X86Island, X86Params
@@ -84,6 +84,14 @@ class ChannelConfig:
         return us(1) if self.hardware else self.latency
 
 
+#: :class:`TestbedConfig` fields only the two-island :class:`Testbed`
+#: reads; a fabric config must leave them at their defaults.
+_PROTOTYPE_ONLY_FIELDS = (
+    "ixp", "channel", "interrupt_delay", "driver_poll_burn_duty",
+    "wire_latency", "wire_bandwidth", "ring_capacity",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class TestbedConfig:
     """Shape and timing of the whole platform — prototype *or* fabric.
@@ -93,7 +101,8 @@ class TestbedConfig:
     the two-island :class:`Testbed`; with a
     :class:`~repro.platform.FabricTopology` it shapes a K-island
     :class:`FabricTestbed` (``directory`` picks the control plane).
-    Channel knobs live in :attr:`channel`.
+    Channel knobs live in :attr:`channel`. A field the chosen testbed
+    would not read raises ``ValueError`` at construction.
     """
 
     seed: int = 1
@@ -127,8 +136,37 @@ class TestbedConfig:
     #: Build a K-island fabric instead of the two-island prototype.
     topology: Optional[FabricTopology] = None
     #: Directory flavour of a fabric build: ``"central"``,
-    #: ``"hierarchical"`` or ``"gossip"`` (ignored without a topology).
+    #: ``"hierarchical"`` or ``"gossip"``. The two-island prototype's
+    #: controller is central, so without a topology only ``"central"``
+    #: is accepted.
     directory: str = "central"
+
+    def __post_init__(self) -> None:
+        if self.directory not in DIRECTORY_KINDS:
+            raise ValueError(
+                f"TestbedConfig.directory must be one of {DIRECTORY_KINDS}, "
+                f"got {self.directory!r}"
+            )
+        if self.topology is None:
+            if self.directory != "central":
+                raise ValueError(
+                    f"TestbedConfig.directory={self.directory!r} needs a "
+                    "topology; the two-island Testbed's controller is central"
+                )
+            return
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _PROTOTYPE_ONLY_FIELDS:
+            if getattr(self, name) != defaults[name]:
+                raise ValueError(
+                    f"TestbedConfig.{name} shapes the two-island Testbed; "
+                    "a fabric build (topology=...) does not read it"
+                )
+        if self.faults is not None and self.faults.plan.events:
+            raise ValueError(
+                "TestbedConfig.faults: a fabric build arms the failure "
+                "detectors but injects no plan; inject link faults with "
+                "CoordinationMesh.inject_link_fault"
+            )
 
 
 class ClientHost:
@@ -224,7 +262,6 @@ class Testbed:
         self.controller = CentralDirectory(self.sim, tracer=self.tracer)
         self.controller.register_island(self.x86)
         self.controller.register_island(self.ixp)
-        self.controller.register_channel("ixp-x86", coord)
 
         # The fault domain, when armed: a failure detector per agent
         # (heartbeats + miss thresholds + dead-letter feed) and the
@@ -240,8 +277,6 @@ class Testbed:
                 "x86": FailureDetector(self.sim, self.x86_agent, faults,
                                        tracer=self.tracer),
             }
-            for name, detector in self.detectors.items():
-                self.controller.register_health(name, detector)
             self.fault_injector = FaultInjector(
                 self.sim,
                 faults.plan,
@@ -259,7 +294,6 @@ class Testbed:
         self.observatory: Optional[ControlLoopCollector] = None
         if self.config.tracing:
             self.observatory = ControlLoopCollector(self.sim, self.tracer)
-            self.controller.attach_observatory(self.observatory)
         #: The platform-wide span minter (shared with every policy).
         self.span_minter = SpanMinter.shared(self.tracer)
 
@@ -377,16 +411,10 @@ class FabricTestbed:
         )
         for island in self.islands.values():
             self.directory.register_island(island)
-        for name_a, name_b, _latency in topology.links():
-            self.directory.register_channel(
-                f"{name_a}<->{name_b}", self.mesh.channel(name_a, name_b)
-            )
         self.mesh.attach_directory(self.directory)
 
         if config.faults is not None:
             self.mesh.arm_fault_domain(config.faults)
-            for (frm, to), detector in sorted(self.mesh._detectors.items()):
-                self.directory.register_health(f"{frm}->{to}", detector)
 
     def run(self, until: int) -> None:
         """Advance the whole fabric to time ``until``."""

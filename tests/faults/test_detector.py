@@ -38,7 +38,6 @@ class TestUnarmedInvisibility:
         assert testbed.ixp_agent.detector is None
         assert testbed.x86_agent.detector is None
         assert not testbed.channel.blocked_senders
-        assert testbed.controller.health() == {}
 
     def test_unarmed_run_sends_no_heartbeats(self):
         testbed = Testbed()
@@ -101,11 +100,11 @@ class TestBlackoutDetection:
         plan = FaultPlan((ChannelBlackout(start=ms(200), duration=ms(420)),))
         testbed = armed_testbed(plan)
         testbed.run(ms(500))
-        health = testbed.controller.health()
-        assert set(health) == {"ixp", "x86"}
-        assert health["x86"]["state"] == PEER_DOWN
-        assert health["x86"]["heartbeats_sent"] > 0
-        assert health["x86"]["transitions"][0][1] == PEER_UP
+        assert set(testbed.detectors) == {"ixp", "x86"}
+        health = testbed.detectors["x86"].health()
+        assert health["state"] == PEER_DOWN
+        assert health["heartbeats_sent"] > 0
+        assert health["transitions"][0][1] == PEER_UP
 
 
 class TestDegradedFallback:
@@ -127,7 +126,7 @@ class TestDegradedFallback:
         assert testbed.detectors["x86"].state == PEER_DOWN
         assert vm.weight == baseline
         reverts = [
-            record for record in testbed.controller.actuation_audit()
+            record for record in testbed.x86.knobs.audit
             if record.op == "revert" and record.outcome == "applied"
             and record.entity == str(entity)
         ]

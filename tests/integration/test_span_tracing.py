@@ -59,14 +59,13 @@ class TestEndToEndLinking:
             assert record.total == sum(record.stages.values())
             # The wire stage spans the channel's 150us default latency.
             assert record.stages["wire"] >= deployment.testbed.channel.latency
-        report = deployment.testbed.controller.control_loops()
+        report = collector.report()
         assert report["applied"] == len(collector.records)
         assert set(report["by_reason"])  # per-reason percentiles exist
 
     def test_control_loops_empty_when_untraced(self):
         testbed = Testbed(TestbedConfig(seed=1))
         assert testbed.observatory is None
-        assert testbed.controller.control_loops() == {}
 
 
 class TestSpansSurviveLossAndCoalescing:

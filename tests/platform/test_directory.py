@@ -85,40 +85,6 @@ class TestDirectoryContract:
         assert directory.island("isle-1") is islands["isle-1"]
         assert [i.name for i in directory.islands()] == sorted(islands)
 
-    def test_channel_protocol_enforced(self, kind):
-        directory, _ = build(kind, Simulator())
-        with pytest.raises(TypeError, match="stats"):
-            directory.register_channel("bogus", object())
-
-    def test_channel_health_merges_dead_letters(self, kind):
-        directory, _ = build(kind, Simulator())
-
-        class FakeReliable:
-            def stats(self):
-                return {"sent": 7}
-
-            def dead_letters_by_entity(self):
-                return {"isle-0/guest": 2}
-
-        directory.register_channel("link", FakeReliable())
-        with pytest.raises(ValueError):
-            directory.register_channel("link", FakeReliable())
-        health = directory.channel_health()
-        assert health["link"]["sent"] == 7
-        assert health["link"]["dead_letters_by_entity"] == {"isle-0/guest": 2}
-
-    def test_health_source_protocol_enforced(self, kind):
-        directory, _ = build(kind, Simulator())
-        with pytest.raises(TypeError, match="health"):
-            directory.register_health("bogus", object())
-
-        class FakeDetector:
-            def health(self):
-                return {"state": "up"}
-
-        directory.register_health("isle-0->isle-1", FakeDetector())
-        assert directory.health() == {"isle-0->isle-1": {"state": "up"}}
-
     def test_entity_move_counted_and_traced(self, kind):
         sim = Simulator()
         tracer = Tracer(sim, enabled=True)
@@ -166,14 +132,6 @@ class TestDirectoryContract:
         assert directory.lookup(entity, frm="isle-0") == "isle-3"
         assert directory.visible_at(entity) is not None
         assert directory.discovery_latency(entity) >= 0
-
-    def test_knob_snapshot_spans_islands(self, kind):
-        sim = Simulator()
-        directory, islands = build(kind, sim)
-        islands["isle-0"].create_vm("a")
-        islands["isle-2"].create_vm("b")
-        snapshot = directory.knob_snapshot()
-        assert "isle-0/a" in snapshot and "isle-2/b" in snapshot
 
 
 class TestBuildDirectory:

@@ -14,7 +14,6 @@ from repro.interconnect import CoordinationChannel, MessageRing, PCIeBus
 from repro.ixp import IXPIsland, IXPParams
 from repro.metrics import ActuationCollector
 from repro.platform import (
-    CentralDirectory,
     EntityId,
     Knob,
     KnobRegistry,
@@ -370,30 +369,29 @@ class TestIslandKnobBounds:
 
 
 class TestControllerSnapshotAndAudit:
+    """Knob tables, audits and counters are read from each island's own
+    registry; the controller only resolves ownership."""
+
     def _platform(self, sim):
-        controller = CentralDirectory(sim)
-        x86 = X86Island(sim, X86Params(num_cpus=1))
-        ixp = IXPIsland(sim)
-        controller.register_island(x86)
-        controller.register_island(ixp)
-        return controller, x86, ixp
+        return X86Island(sim, X86Params(num_cpus=1)), IXPIsland(sim)
 
     def test_knob_snapshot_spans_islands(self):
         sim = Simulator()
-        controller, x86, ixp = self._platform(sim)
+        x86, ixp = self._platform(sim)
         x86.create_vm("guest")
         ixp.register_vm_flow("guest")
-        snap = controller.knob_snapshot()
-        assert snap["x86/guest"]["kind"] == "credit-weight"
-        assert snap["x86/guest"]["supports_trigger"] is True
-        assert snap["ixp/guest"]["kind"] == "flow-service-weight"
-        assert snap["x86/dvfs"]["kind"] == "dvfs-level"
-        assert snap["x86/guest"]["minimum"] == MIN_WEIGHT
-        assert snap["x86/guest"]["maximum"] == MAX_WEIGHT
+        x86_snap, ixp_snap = x86.knobs.snapshot(), ixp.knobs.snapshot()
+        assert x86_snap["x86/guest"]["kind"] == "credit-weight"
+        assert x86_snap["x86/guest"]["supports_trigger"] is True
+        assert ixp_snap["ixp/guest"]["kind"] == "flow-service-weight"
+        assert x86_snap["x86/dvfs"]["kind"] == "dvfs-level"
+        assert x86_snap["x86/guest"]["minimum"] == MIN_WEIGHT
+        assert x86_snap["x86/guest"]["maximum"] == MAX_WEIGHT
+        assert "ixp/guest" not in x86_snap and "x86/guest" not in ixp_snap
 
     def test_testbed_snapshot_lists_every_native_knob_kind(self):
         """A GPU island registered after the two-island Testbed is built
-        joins its controller's snapshot: every island's native knob kind
+        joins its controller, and every island's native knob kind
         surfaces through the one typed registry."""
         tb = Testbed()
         tb.x86.create_vm("guest", weight=256, memory_mb=512)
@@ -401,26 +399,37 @@ class TestControllerSnapshotAndAudit:
         gpu = GPUIsland(tb.sim, tracer=tb.tracer)
         gpu.create_context("guest", weight=100)
         tb.controller.register_island(gpu)
-        kinds = {entry["kind"] for entry in tb.controller.knob_snapshot().values()}
+        kinds = {
+            entry["kind"]
+            for island in (tb.x86, tb.ixp, gpu)
+            for entry in island.knobs.snapshot().values()
+        }
         assert {
             "credit-weight", "flow-service-weight", "runlist-weight", "dvfs-level",
         } <= kinds
 
     def test_platform_audit_merges_and_orders(self):
+        """Each island's audit holds its own actuations, in (time, seq)
+        order, and its counters agree with it."""
         sim = Simulator()
-        controller, x86, ixp = self._platform(sim)
+        x86, ixp = self._platform(sim)
         x86.create_vm("guest")
         ixp.register_vm_flow("guest")
         x86.apply_tune(EntityId("x86", "guest"), +64)
         ixp.apply_tune(EntityId("ixp", "guest"), +2)
         x86.apply_tune(EntityId("x86", "guest"), -32)
-        audit = controller.actuation_audit()
-        tunes = [r for r in audit if r.op == "tune"]
-        assert [r.entity for r in tunes] == ["ixp/guest", "x86/guest", "x86/guest"]
-        assert all(a.time <= b.time for a, b in zip(audit, audit[1:]))
-        stats = controller.actuation_stats()
-        assert stats["x86"]["tunes_applied"] == 2
-        assert stats["ixp"]["tunes_applied"] == 1
+        for island in (x86, ixp):
+            audit = island.knobs.audit
+            assert all(
+                (a.time, a.seq) < (b.time, b.seq) for a, b in zip(audit, audit[1:])
+            )
+        x86_tunes = [r for r in x86.knobs.audit if r.op == "tune"]
+        assert [(r.entity, r.requested_delta) for r in x86_tunes] == [
+            ("x86/guest", 64), ("x86/guest", -32),
+        ]
+        assert [r.entity for r in ixp.knobs.audit if r.op == "tune"] == ["ixp/guest"]
+        assert x86.knobs.stats()["tunes_applied"] == 2
+        assert ixp.knobs.stats()["tunes_applied"] == 1
 
     def _run_audited_scenario(self, fastpath):
         sim = Simulator(fastpath=fastpath)

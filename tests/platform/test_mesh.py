@@ -247,6 +247,22 @@ class TestMeshFaultInjection:
         # ... but cell-1's raw heartbeats still arrive at cell-0.
         assert mesh.detector("cell-0", "cell-1").state == PEER_UP
 
+    def test_dead_letters_count_what_a_blacked_out_link_dropped(self):
+        """Mesh links never retransmit, so each message one drops is lost
+        for good: three Tunes into a blackout are three dead letters."""
+        sim = Simulator()
+        mesh, islands = self.build_ring(sim, count=3)
+        plan = FaultPlan((ChannelBlackout(start=ms(10), duration=ms(100)),))
+        mesh.inject_link_fault(plan, "cell-0", "cell-1")
+        sim.run(until=ms(20))
+        for _ in range(3):
+            mesh.agent("cell-0", "cell-1").send_tune(EntityId("cell-1", "guest"), +8)
+        sim.run(until=ms(50))
+        stats = mesh.channel("cell-0", "cell-1").stats()
+        assert stats["dropped"] == stats["blacked_out"] == 3
+        assert mesh.dead_letters() == 3
+        assert islands[1].vm("guest").weight == 256
+
     def test_blackout_direction_validated_against_link_endpoints(self):
         sim = Simulator()
         mesh, _ = self.build_ring(sim)

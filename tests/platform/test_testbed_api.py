@@ -13,8 +13,11 @@ import pytest
 
 import repro
 from repro import FabricTestbed, Testbed, TestbedConfig, build_testbed
+from repro.faults import ChannelBlackout, FaultConfig, FaultPlan
+from repro.ixp import IXPParams
 from repro.platform import FabricTopology
-from repro.sim import ms
+from repro.sim import ms, us
+from repro.testbed import ChannelConfig
 
 NAMES = ("isle-0", "isle-1", "isle-2", "isle-3")
 
@@ -37,6 +40,33 @@ class TestBuildTestbed:
     def test_prototype_testbed_rejects_fabric_configs(self):
         with pytest.raises(ValueError, match="build_testbed"):
             Testbed(TestbedConfig(topology=topo()))
+
+
+BLACKOUT = FaultPlan((ChannelBlackout(start=ms(10), duration=ms(5)),))
+
+
+class TestConfigRejectsWhatTheTestbedIgnores:
+    @pytest.mark.parametrize("field, kwargs", [
+        pytest.param("directory", {"directory": "gossip"}, id="directory-no-topology"),
+        pytest.param("directory", {"directory": "gosip"}, id="directory-typo"),
+        pytest.param("directory", {"topology": topo(), "directory": "gosip"},
+                     id="directory-typo-fabric"),
+        ("ixp", {"topology": topo(), "ixp": IXPParams(num_microengines=8)}),
+        ("channel", {"topology": topo(), "channel": ChannelConfig(reliable=True)}),
+        ("interrupt_delay", {"topology": topo(), "interrupt_delay": us(10)}),
+        ("driver_poll_burn_duty", {"topology": topo(), "driver_poll_burn_duty": 0.5}),
+        ("wire_latency", {"topology": topo(), "wire_latency": us(5)}),
+        ("wire_bandwidth", {"topology": topo(), "wire_bandwidth": 1.25}),
+        ("ring_capacity", {"topology": topo(), "ring_capacity": 64}),
+        ("faults", {"topology": topo(), "faults": FaultConfig(plan=BLACKOUT)}),
+    ], ids=lambda value: value if isinstance(value, str) else "fabric")
+    def test_rejected_when_built(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"TestbedConfig\.{field}\b"):
+            TestbedConfig(**kwargs)
+
+    def test_fabric_faults_without_a_plan_arm_the_detectors(self):
+        built = build_testbed(TestbedConfig(topology=topo(), faults=FaultConfig()))
+        assert built.mesh.detector("isle-0", "isle-1").state == "up"
 
 
 class TestFabricTestbedSignatures:
