@@ -9,10 +9,12 @@ Two scenarios, both written to ``BENCH_kernel.json`` at the repo root:
 * **periodic** — a periodic-tick-dominated workload (hundreds of fixed-
   period control loops: scheduler ticks, samplers, heartbeats) run three
   ways: the old generator idiom (``while True: yield period``), a
-  :class:`PeriodicTask` fleet through the timer wheel, and the same fleet
-  through the classic heap (``fastpath=False``). The wheel fleet is the
-  production configuration; the generator run is what every periodic site
-  cost before ``PeriodicTask`` existed.
+  :class:`PeriodicTask` fleet through the timer wheel, and the classic
+  heap: a kernel whose every entry past the drained slot goes to the
+  binary heap (:class:`_ClassicHeap`), driving tickers that re-arm
+  through a real ``Timeout`` before each tick (:class:`_HeapTicker`).
+  The wheel fleet is the production configuration; the generator run is
+  what every periodic site cost before ``PeriodicTask`` existed.
 
 Every variant pair must agree exactly on final virtual time and event
 count — both optimisations are pure mechanics, asserted here and in
@@ -27,12 +29,14 @@ either fast path by >20% cannot merge unnoticed.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 import time
 from pathlib import Path
 
 from repro.sim import Resource, Simulator, Store, ms, seconds, us
+from repro.sim.core import _WHEEL_SHIFT
 
 #: Output artefact (uploaded by the CI perf-smoke job).
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
@@ -79,8 +83,9 @@ def _build_workload(sim: Simulator, fastpath: bool, counters: dict) -> None:
     ]
 
     def sleeper(plan):
-        # `fastpath` picks the yield spelling; the kernel's Simulator flag
-        # stays True either way so the comparison isolates allocation cost.
+        # `fastpath` picks the yield spelling (`yield n` or `yield
+        # sim.timeout(n)`) on the same kernel, so the comparison isolates
+        # allocation cost.
         if fastpath:
             for delay in plan:
                 yield delay
@@ -190,6 +195,42 @@ def test_bench_perf_kernel():
 # -- periodic-tick scenario --------------------------------------------------
 
 
+class _ClassicHeap(Simulator):
+    """The kernel with its timer wheel taken out: every entry past the slot
+    being drained goes to the binary heap, as in a one-heap kernel."""
+
+    def _push(self, time, obj):
+        entry = (time, self._seq, obj)
+        self._seq += 1
+        if (time >> _WHEEL_SHIFT) <= self._cursor:
+            heapq.heappush(self._ready, entry)
+        else:
+            heapq.heappush(self._heap, entry)
+
+
+class _HeapTicker:
+    """A periodic tick spelled with Timeouts: each tick counts itself,
+    re-arms through a real ``Timeout`` and then calls ``fn`` — the per-tick
+    work :class:`PeriodicTask` did on the classic heap."""
+
+    __slots__ = ("sim", "period", "fn", "ticks")
+
+    def __init__(self, sim: Simulator, period: int, fn):
+        self.sim = sim
+        self.period = period
+        self.fn = fn
+        self.ticks = 0
+        self._arm()
+
+    def _arm(self) -> None:
+        self.sim.timeout(self.period).callbacks.append(self._fired)
+
+    def _fired(self, _event) -> None:
+        self.ticks += 1
+        self._arm()
+        self.fn()
+
+
 def _build_periodic(sim: Simulator, idiom: str, counters: dict) -> None:
     """A control-plane-shaped fleet: fixed-period loops and nothing else.
 
@@ -201,12 +242,15 @@ def _build_periodic(sim: Simulator, idiom: str, counters: dict) -> None:
     rng = random.Random(SEED)
     periods = [rng.randrange(us(100), ms(20)) for _ in range(NUM_PERIODIC)]
 
-    if idiom == "task":
-        def tick():
-            counters["events"] += 1
+    def tick():
+        counters["events"] += 1
 
+    if idiom == "task":
         for period in periods:
             sim.periodic(period, tick)
+    elif idiom == "heap":
+        for period in periods:
+            _HeapTicker(sim, period, tick)
     else:
         def loop(period):
             while True:
@@ -217,8 +261,8 @@ def _build_periodic(sim: Simulator, idiom: str, counters: dict) -> None:
             sim.spawn(loop(period), name=f"ticker-{index}")
 
 
-def _measure_periodic(idiom: str, fastpath: bool = True) -> dict:
-    sim = Simulator(fastpath=fastpath)
+def _measure_periodic(idiom: str) -> dict:
+    sim = _ClassicHeap() if idiom == "heap" else Simulator()
     counters = {"events": 0}
     _build_periodic(sim, idiom, counters)
     started = time.perf_counter()
@@ -235,7 +279,7 @@ def _measure_periodic(idiom: str, fastpath: bool = True) -> dict:
 def test_bench_perf_kernel_periodic():
     _measure_periodic("task")  # warm caches/allocator
     generator = _measure_periodic("generator")
-    heap = _measure_periodic("task", fastpath=False)
+    heap = _measure_periodic("heap")
     wheel = _measure_periodic("task")
 
     # All three are the same simulation: identical tick counts, same end.

@@ -123,17 +123,12 @@ def _first_up_after(transitions, start):
     return None
 
 
-def run_chaos_arm(
-    blackout: int, seed: int = 1, fastpath: bool = True
-) -> ChaosArmResult:
+def run_chaos_arm(blackout: int, seed: int = 1) -> ChaosArmResult:
     """Run one blackout arm and measure the detection -> fallback ->
-    recovery -> reconvergence arc. ``fastpath=False`` forces the classic
-    simulation kernel — results must be identical (the determinism
-    acceptance test runs both)."""
+    recovery -> reconvergence arc."""
     config = chaos_config(blackout, seed=seed)
     deployment = deploy_rubis(config)
     testbed = deployment.testbed
-    testbed.sim._fastpath = fastpath
     sim = testbed.sim
     policy = deployment.policy
     assert policy is not None  # coordinated=True wired it

@@ -31,7 +31,6 @@ strictly lower platform energy than both ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..coordination.energy_policy import ENERGY_QOS_MODES, EnergyQosGovernor, QosTarget
 from ..metrics.energyqos import EnergyQosCollector, WindowedQosSource
@@ -151,18 +150,11 @@ def run_energy_qos_arm(
     mode: str,
     seed: int = 1,
     duration: int = seconds(40),
-    fastpath: Optional[bool] = None,
 ) -> EnergyQosArmResult:
-    """Run one arm of the energy/QoS experiment.
-
-    ``fastpath`` pins the simulator kernel mode for determinism audits;
-    None keeps the build default.
-    """
+    """Run one arm of the energy/QoS experiment."""
     if mode not in ENERGY_QOS_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {ENERGY_QOS_MODES}")
     testbed = Testbed(TestbedConfig(seed=seed))
-    if fastpath is not None:
-        testbed.sim._fastpath = fastpath
 
     memory = MemorySystem(
         MemorySystemParams(capacity_gbps=PIPE_CAPACITY_GBPS), tracer=testbed.tracer

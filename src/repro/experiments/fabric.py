@@ -82,8 +82,7 @@ class ProbeCell:
 
     Its loops, like :func:`run_fabric_arm`'s, sleep with ``yield <int>``:
     the allocation-free twin of ``yield sim.timeout(<int>)``, with the
-    same sequence number and a None resume value
-    (``Simulator(fastpath=False)`` routes it through a ``Timeout``).
+    same sequence number and a None resume value.
     """
 
     def __init__(self, island, jitter, slot: int, slots: int, phase: int):

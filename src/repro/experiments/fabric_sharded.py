@@ -480,7 +480,6 @@ def run_fabric_sharded_arm(
     shards: int = 1,
     duration: int = seconds(1),
     seed: int = 1,
-    fastpath: bool = True,
     workers: Optional[int] = None,
     blackout: bool = True,
     fanout: int = FANOUT,
@@ -490,7 +489,7 @@ def run_fabric_sharded_arm(
     plan = ShardPlan(topology, shards=shards)
     run = run_sharded(
         plan, build_fabric_world, (seed, duration, blackout),
-        duration=duration, fastpath=fastpath, workers=workers,
+        duration=duration, workers=workers,
     )
     metrics = _merge_shard_results(run.results, run.counters)
     metrics["windows"] = run.windows

@@ -72,15 +72,12 @@ def run_rubis(
     seed: int = 1,
     config: Optional[RubisConfig] = None,
     reliable: Optional[bool] = None,
-    fastpath: bool = True,
 ) -> RubisRunResult:
     """Run one RUBiS arm and collect its metrics.
 
     ``reliable`` opts the coordination channel into the ack/retransmit
     layer (overriding the testbed config); None keeps whatever the config
-    says — the paper's figures use the raw mailbox. ``fastpath=False``
-    routes every integer yield through the allocating Timeout path — a
-    determinism-audit knob (the metrics must not change), not a feature.
+    says — the paper's figures use the raw mailbox.
     """
     base_config = config or RubisConfig()
     testbed_config = replace(base_config.testbed, seed=seed)
@@ -95,7 +92,6 @@ def run_rubis(
         testbed=testbed_config,
     )
     deployment = deploy_rubis(run_config)
-    deployment.sim._fastpath = fastpath
     deployment.run(run_config.warmup + duration)
 
     stats = deployment.client.stats
@@ -125,7 +121,6 @@ def run_rubis_pair(
     duration: int = DEFAULT_DURATION,
     seed: int = 1,
     config: Optional[RubisConfig] = None,
-    fastpath: bool = True,
 ) -> RubisPairResult:
     """Run both arms on the same seed, side by side on a multicore host.
 
@@ -133,7 +128,7 @@ def run_rubis_pair(
     :mod:`repro.parallel` (``REPRO_PARALLEL=0`` forces the serial path;
     the results are identical either way).
     """
-    shared = dict(duration=duration, seed=seed, config=config, fastpath=fastpath)
+    shared = dict(duration=duration, seed=seed, config=config)
     base, coord = run_jobs(
         [
             Job(run_rubis, kwargs=dict(coordinated=False, **shared), label="rubis:base"),

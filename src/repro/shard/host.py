@@ -60,11 +60,10 @@ class ShardHost:
         shard_index: int,
         build: Callable[..., Any],
         build_args: tuple = (),
-        fastpath: bool = True,
     ):
         self.plan = plan
         self.shard_index = shard_index
-        self.sim = Simulator(fastpath=fastpath)
+        self.sim = Simulator()
         self.router = BoundaryRouter(plan.topology, shard_index)
         ctx = ShardContext(
             sim=self.sim, router=self.router, plan=plan, shard_index=shard_index

@@ -135,9 +135,9 @@ class _InlineEngine:
 
     name = "inline"
 
-    def __init__(self, plan, build, build_args, fastpath):
+    def __init__(self, plan, build, build_args):
         self.hosts = [
-            ShardHost(plan, index, build, build_args=build_args, fastpath=fastpath)
+            ShardHost(plan, index, build, build_args=build_args)
             for index in range(plan.shards)
         ]
 
@@ -179,7 +179,6 @@ def _degrade_to_inline(
     plan: ShardPlan,
     build,
     build_args: tuple,
-    fastpath: bool,
     journal: WindowJournal,
     windows: int,
     window: int,
@@ -195,7 +194,7 @@ def _degrade_to_inline(
     degradations.note(cause)
     log.note("degraded-inline", cause=cause)
     old_engine.close()
-    engine = _InlineEngine(plan, build, build_args, fastpath)
+    engine = _InlineEngine(plan, build, build_args)
     if windows:
         if journal.complete:
             for _index, until, batches in journal.replay(upto=windows):
@@ -224,7 +223,6 @@ def run_sharded(
     build_args: tuple = (),
     *,
     duration: int,
-    fastpath: bool = True,
     workers: Optional[int] = None,
     config: Optional[ShardConfig] = None,
     fault_hook=None,
@@ -260,7 +258,7 @@ def run_sharded(
         if exec_plan.parallel:
             try:
                 engine = SupervisedEngine(
-                    plan, build, build_args, fastpath,
+                    plan, build, build_args,
                     config=config, journal=journal, log=log,
                     fault_hook=fault_hook,
                 )
@@ -274,12 +272,12 @@ def run_sharded(
         else:
             degradations.note(exec_plan.reason)
     if engine is None:
-        engine = _InlineEngine(plan, build, build_args, fastpath)
+        engine = _InlineEngine(plan, build, build_args)
     start = time.perf_counter()
     batches: list[list[BoundaryMessage]] = [[] for _ in range(plan.shards)]
     now = 0
     windows = 0
-    degrade_args = (plan, build, build_args, fastpath, journal)
+    degrade_args = (plan, build, build_args, journal)
     try:
         while now < duration:
             until = min(now + window, duration)

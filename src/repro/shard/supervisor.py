@@ -229,7 +229,6 @@ class SupervisedEngine:
         plan: ShardPlan,
         build,
         build_args: tuple,
-        fastpath: bool,
         *,
         config: Optional[ShardConfig] = None,
         journal: Optional[WindowJournal] = None,
@@ -239,7 +238,6 @@ class SupervisedEngine:
         self.plan = plan
         self.build = build
         self.build_args = build_args
-        self.fastpath = fastpath
         self.config = config if config is not None else ShardConfig()
         # ``is None``, not ``or``: an empty WindowJournal is falsy (len 0)
         # and a bare ``or`` would silently shadow the coordinator's journal.
@@ -272,8 +270,7 @@ class SupervisedEngine:
             target=shard_worker_main,
             args=(
                 child, self.plan, index, self.build, self.build_args,
-                self.fastpath, attempt, self.config.heartbeat_interval_s,
-                self.fault_hook,
+                attempt, self.config.heartbeat_interval_s, self.fault_hook,
             ),
             name=f"shard-{index}.{attempt}",
             daemon=True,

@@ -75,7 +75,6 @@ def shard_worker_main(
     shard_index: int,
     build,
     build_args: tuple,
-    fastpath: bool,
     attempt: int = 0,
     heartbeat_interval: float = 0.0,
     fault_hook: Optional[FaultHook] = None,
@@ -87,9 +86,7 @@ def shard_worker_main(
     try:
         if fault_hook is not None:
             fault_hook(shard_index, BUILD_WINDOW, attempt)
-        host = ShardHost(
-            plan, shard_index, build, build_args=build_args, fastpath=fastpath
-        )
+        host = ShardHost(plan, shard_index, build, build_args=build_args)
         if heartbeat_interval > 0:
             threading.Thread(
                 target=_heartbeat_loop,

@@ -13,10 +13,10 @@ an O(1) append; far-future entries overflow to the heap and cascade into
 the drain buffer as the wheel's cursor reaches their slot. Because every
 entry carries its exact ``(time, seq)`` key and a whole slot is heapified
 before anything in it fires, the pop order is *identical* to a single
-global heap — the wheel is purely a cost optimisation, asserted bit-for-bit
-by the paired-run tests. ``Simulator(fastpath=False)`` bypasses the wheel
-entirely (every entry routes through the classic heap) so determinism
-audits can run the same scenario both ways and compare.
+global heap: strictly increasing ``(time, seq)``, each entry at its due
+time, none twice. ``tests/sim/test_order_oracle.py`` checks exactly that
+on random schedule/cancel/run mixes, and ``GOLDEN.txt`` pins what the
+experiments built on this kernel compute.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ _WHEEL_SHIFT = 16
 _WHEEL_SLOTS = 512
 _WHEEL_MASK = _WHEEL_SLOTS - 1
 
+#: The drain limit of :meth:`Simulator.run` without ``until``: every entry
+#: is due before it.
+_FOREVER = float("inf")
+
 
 class _DelayWakeup:
     """Heap token for the integer-delay fast path (``yield <int>``).
@@ -58,7 +62,7 @@ class _DelayWakeup:
 
     __slots__ = ("process", "gen", "value")
 
-    #: Read by :meth:`Simulator.step`'s cancelled-entry skip; wakeup tokens
+    #: Read by the kernel's cancelled-entry skip; wakeup tokens
     #: are never cancelled (abandonment is handled via ``gen``).
     _cancelled = False
 
@@ -279,7 +283,7 @@ class Simulator:
         sim.run(until=seconds(10))
     """
 
-    def __init__(self, start_time: int = 0, fastpath: bool = True):
+    def __init__(self, start_time: int = 0):
         self._now: int = start_time
         #: Schedule entries are ``(time, seq, Event | _DelayWakeup |
         #: PeriodicTask)``; the seq tie-breaker is unique, so the payload
@@ -297,13 +301,6 @@ class Simulator:
         self._heap: list[tuple[int, int, Any]] = []
         self._seq = 0  # tie-breaker giving FIFO order to simultaneous events
         self._active_process = None  # set by Process while it executes
-        #: When False, ``yield <int>`` routes through a real Timeout (the
-        #: allocating path) instead of a heap token, PeriodicTask re-arms
-        #: through real Timeouts, and every entry bypasses the wheel into
-        #: the classic heap. The two paths are observationally identical;
-        #: the switch exists so determinism audits can run the same
-        #: scenario both ways and compare.
-        self._fastpath = fastpath
         self._cancelled_pending = 0  # cancelled entries still queued somewhere
 
     # -- clock -----------------------------------------------------------
@@ -318,8 +315,8 @@ class Simulator:
         """Total schedule entries filed so far — the monotone kernel
         event counter (and the throughput numerator of every events/sec
         figure). Public so harness code never reads ``_seq`` directly;
-        deterministic for a given scenario in both kernel modes, because
-        every push consumes exactly one sequence number."""
+        deterministic for a given scenario, because every push consumes
+        exactly one sequence number."""
         return self._seq
 
     # -- event constructors ----------------------------------------------
@@ -349,8 +346,8 @@ class Simulator:
         """File one schedule entry into the wheel, drain buffer, or heap.
 
         Every push consumes one sequence number regardless of which
-        container the entry lands in, so ordering decisions are identical
-        across wheel/heap modes.
+        container the entry lands in, so the seq alone fixes the order of
+        simultaneous entries.
         """
         entry = (time, self._seq, obj)
         self._seq += 1
@@ -359,11 +356,9 @@ class Simulator:
         if offset <= 0:
             # Due within the slot currently being drained (or the past,
             # after a run(until=...) clock jump): must interleave with the
-            # drain buffer, whose span the cursor already covers — this
-            # holds in *both* kernel modes; the audit knob only opts out
-            # of the O(1) wheel slots below.
+            # drain buffer, whose span the cursor already covers.
             heapq.heappush(self._ready, entry)
-        elif self._fastpath and offset < _WHEEL_SLOTS:
+        elif offset < _WHEEL_SLOTS:
             self._slots[slot & _WHEEL_MASK].append(entry)
             self._wheel_count += 1
         else:
@@ -376,10 +371,6 @@ class Simulator:
             return
         event._scheduled = True
         self._push(self._now + delay, event)
-
-    def _schedule_wakeup(self, wakeup: _DelayWakeup, delay: int) -> None:
-        """Queue a process's integer-delay wakeup token (fast path)."""
-        self._push(self._now + delay, wakeup)
 
     def _refill(self) -> None:
         """Advance the wheel cursor to the next occupied slot and move that
@@ -420,25 +411,6 @@ class Simulator:
         self._cursor = s
         heapq.heapify(ready)
 
-    def _pop_live(self) -> Optional[tuple[int, int, Any]]:
-        """Pop the next non-cancelled entry, or None when nothing remains.
-
-        Cancelled entries are discarded as they surface (decrementing the
-        lazy-deletion debt) without advancing the clock.
-        """
-        ready = self._ready
-        while True:
-            if not ready:
-                if not (self._wheel_count or self._heap):
-                    return None
-                self._refill()
-                continue
-            entry = heapq.heappop(ready)
-            if entry[2]._cancelled:
-                self._cancelled_pending -= 1
-                continue
-            return entry
-
     def _process(self, when: int, event: Any) -> None:
         """Advance the clock to one live entry and fire it."""
         self._now = when
@@ -466,7 +438,7 @@ class Simulator:
         come out in ascending key order regardless of the heap's internal
         layout. The debt counter is decremented by exactly the number of
         entries dropped — not reset to zero — so it stays consistent with
-        the skip-pop decrements in :meth:`peek`/:meth:`step` no matter how
+        the skip-pop decrements in :meth:`peek`/:meth:`_drain` no matter how
         the two interleave.
         """
         self._cancelled_pending += 1
@@ -550,9 +522,37 @@ class Simulator:
         without running callbacks or advancing the clock; with nothing
         live left, ``step`` is a no-op.
         """
-        entry = self._pop_live()
-        if entry is not None:
+        if self.peek() is not None:
+            entry = heapq.heappop(self._ready)
             self._process(entry[0], entry[2])
+
+    def _drain(self, last: float, park: Optional[int]) -> None:
+        """The event loop: fire every live entry due at or before ``last``
+        in ``(time, seq)`` order, then leave the clock at ``park`` (where
+        the last entry left it when ``park`` is None). :meth:`stop` ends
+        the loop at once, with the clock at the stopping entry."""
+        ready = self._ready
+        pop = heapq.heappop
+        try:
+            while True:
+                if not ready:
+                    if not (self._wheel_count or self._heap):
+                        break
+                    self._refill()
+                    continue
+                head = ready[0]
+                if head[2]._cancelled:
+                    pop(ready)
+                    self._cancelled_pending -= 1
+                    continue
+                if head[0] > last:
+                    break
+                pop(ready)
+                self._process(head[0], head[2])
+        except StopSimulation:
+            return
+        if park is not None:
+            self._now = park
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the schedule drains or the clock would pass ``until``.
@@ -561,36 +561,12 @@ class Simulator:
         if no event falls on that instant, so back-to-back ``run`` calls
         compose predictably.
         """
-        try:
-            if until is None:
-                while True:
-                    entry = self._pop_live()
-                    if entry is None:
-                        break
-                    self._process(entry[0], entry[2])
-            else:
-                if until < self._now:
-                    raise SchedulingInPastError(f"run(until={until}) but now={self._now}")
-                ready = self._ready
-                pop = heapq.heappop
-                while True:
-                    if not ready:
-                        if not (self._wheel_count or self._heap):
-                            break
-                        self._refill()
-                        continue
-                    head = ready[0]
-                    if head[2]._cancelled:
-                        pop(ready)
-                        self._cancelled_pending -= 1
-                        continue
-                    if head[0] > until:
-                        break
-                    pop(ready)
-                    self._process(head[0], head[2])
-                self._now = until
-        except StopSimulation:
-            pass
+        if until is None:
+            self._drain(_FOREVER, None)
+            return
+        if until < self._now:
+            raise SchedulingInPastError(f"run(until={until}) but now={self._now}")
+        self._drain(until, until)
 
     def run_until(self, until: int) -> None:
         """Advance to ``until`` processing only events *strictly before* it.
@@ -608,27 +584,8 @@ class Simulator:
         """
         if until < self._now:
             raise SchedulingInPastError(f"run_until({until}) but now={self._now}")
-        try:
-            ready = self._ready
-            pop = heapq.heappop
-            while True:
-                if not ready:
-                    if not (self._wheel_count or self._heap):
-                        break
-                    self._refill()
-                    continue
-                head = ready[0]
-                if head[2]._cancelled:
-                    pop(ready)
-                    self._cancelled_pending -= 1
-                    continue
-                if head[0] >= until:
-                    break
-                pop(ready)
-                self._process(head[0], head[2])
-            self._now = until
-        except StopSimulation:
-            pass
+        # Integer time: strictly before ``until`` is at or before until - 1.
+        self._drain(until - 1, until)
 
     def stop(self) -> None:
         """Abort :meth:`run` from inside a callback or process."""
@@ -650,9 +607,9 @@ class PeriodicTask:
     Semantics match the generator spelling exactly: the first tick fires
     ``period`` ticks after construction (or ``first_delay``, when given),
     ticks interleave with simultaneous events in ``(time, seq)`` FIFO
-    order, and exactly one sequence number is consumed per tick — so under
-    ``Simulator(fastpath=False)``, where re-arming routes through real
-    :class:`Timeout` events on the classic heap, runs are bit-identical.
+    order, and exactly one sequence number is consumed per tick — so a
+    chain that creates its next ``sim.timeout(period)`` before calling
+    ``fn`` runs bit-identically.
 
     ``cancel()`` stops the task permanently; the in-flight entry is
     lazily discarded like a cancelled timer. Exceptions raised by ``fn``
@@ -662,7 +619,7 @@ class PeriodicTask:
     Do not subclass: the kernel dispatches on the exact class.
     """
 
-    __slots__ = ("sim", "period", "fn", "name", "ticks", "_cancelled", "_timer")
+    __slots__ = ("sim", "period", "fn", "name", "ticks", "_cancelled")
 
     def __init__(
         self,
@@ -684,74 +641,43 @@ class PeriodicTask:
         #: Number of times ``fn`` has been invoked.
         self.ticks = 0
         self._cancelled = False
-        #: The pending audit-mode Timeout (None on the fast path, where
-        #: the task itself is the schedule entry).
-        self._timer: Optional[Timeout] = None
-        self._arm(delay)
+        sim._push(sim._now + delay, self)
 
     @property
     def cancelled(self) -> bool:
         """True once :meth:`cancel` has been called."""
         return self._cancelled
 
-    def _arm(self, delay: int) -> None:
-        sim = self.sim
-        if sim._fastpath:
-            self._timer = None
-            sim._push(sim._now + delay, self)
-        else:
-            # Audit path: a real Timeout through the classic heap. One
-            # sequence number per tick, same as the token push above.
-            timer = Timeout(sim, delay)
-            timer.callbacks.append(self._audit_fired)
-            self._timer = timer
-
     def _fired(self) -> None:
-        """Fast-path tick (called by the kernel when the token pops).
+        """One tick (called by the kernel when the token pops).
 
         Re-arms *before* running ``fn`` so the sequence numbers any work
-        inside ``fn`` consumes come after the next tick's — mirroring the
-        audit path, where the follow-up Timeout is created first too.
-        The fast re-arm is ``Simulator._push`` inlined: this is the
-        hottest call site in periodic-dominated runs, and the extra
-        frame shows up at fleet scale.
+        inside ``fn`` consumes come after the next tick's, as in a chain
+        that creates its next Timeout first. The re-arm is
+        ``Simulator._push`` inlined: this is the hottest call site in
+        periodic-dominated runs, and the extra frame shows up at fleet
+        scale.
         """
         self.ticks += 1
         sim = self.sim
-        if sim._fastpath:
-            time = sim._now + self.period
-            entry = (time, sim._seq, self)
-            sim._seq += 1
-            slot = time >> _WHEEL_SHIFT
-            offset = slot - sim._cursor
-            if offset <= 0:
-                heapq.heappush(sim._ready, entry)
-            elif offset < _WHEEL_SLOTS:
-                sim._slots[slot & _WHEEL_MASK].append(entry)
-                sim._wheel_count += 1
-            else:
-                heapq.heappush(sim._heap, entry)
+        time = sim._now + self.period
+        entry = (time, sim._seq, self)
+        sim._seq += 1
+        slot = time >> _WHEEL_SHIFT
+        offset = slot - sim._cursor
+        if offset <= 0:
+            heapq.heappush(sim._ready, entry)
+        elif offset < _WHEEL_SLOTS:
+            sim._slots[slot & _WHEEL_MASK].append(entry)
+            sim._wheel_count += 1
         else:
-            self._arm(self.period)
-        self.fn()
-
-    def _audit_fired(self, _event: Event) -> None:
-        if self._cancelled:
-            return
-        self.ticks += 1
-        self._arm(self.period)
+            heapq.heappush(sim._heap, entry)
         self.fn()
 
     def cancel(self) -> bool:
         """Stop the task; ``fn`` never runs again. Idempotent."""
-        if self._cancelled:
-            return True
-        self._cancelled = True
-        timer = self._timer
-        if timer is not None:
-            self._timer = None
-            timer.cancel()
-        else:
+        if not self._cancelled:
+            self._cancelled = True
             # The in-flight token entry is discarded lazily when it pops.
             self.sim._note_cancelled()
         return True

@@ -6,26 +6,26 @@ value is sent back into the generator (or its exception thrown, for failed
 events). A :class:`Process` is itself an event that fires when the generator
 returns, so processes can ``yield other_process`` to join on it.
 
-The fast path: a process may also ``yield`` a plain non-negative ``int`` —
-a pure delay. Instead of allocating a :class:`~repro.sim.core.Timeout` (and
-its callback list) per sleep, the process parks a reusable
+A process may also ``yield`` a plain non-negative ``int`` — a pure delay.
+Instead of allocating a :class:`~repro.sim.core.Timeout` (and its callback
+list) per sleep, the process parks a reusable
 :class:`~repro.sim.core._DelayWakeup` token directly on the simulator's
 timer wheel and resumes with ``None``, exactly as ``yield sim.timeout(n)``
-would. (For *fixed-period* loops with no other yields, prefer
-:class:`~repro.sim.core.PeriodicTask`, which also skips the generator
-resume per tick.) The
-two spellings are observationally identical — same event ordering, same
-sequence-number consumption, same interrupt semantics — which
-``tests/sim/test_fastpath.py`` asserts pairwise; the fast path is simply
-allocation-free. Booleans are rejected (``yield True`` is almost certainly
-a bug, not a 1 ns delay).
+would. Yielding an already-processed successful event parks the same token
+for a zero-delay hop. (For *fixed-period* loops with no other yields,
+prefer :class:`~repro.sim.core.PeriodicTask`, which also skips the
+generator resume per tick.) ``yield n`` and ``yield sim.timeout(n)`` are
+observationally identical — same event ordering, same sequence-number
+consumption, same interrupt semantics — which ``tests/sim/test_fastpath.py``
+asserts pairwise; the int spelling is simply allocation-free. Booleans are
+rejected (``yield True`` is almost certainly a bug, not a 1 ns delay).
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from .core import Event, Simulator, Timeout, _DelayWakeup
+from .core import Event, Simulator, _DelayWakeup
 from .errors import Interrupt, SimulationError
 
 
@@ -40,7 +40,7 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         #: The event this process is currently waiting on (None when ready
-        #: to start, sleeping on the heap via the fast path, or finished).
+        #: to start, sleeping on its delay token, or finished).
         self._target: Optional[Event] = None
         #: True while the process sleeps on a heap-parked delay token.
         self._in_fast_delay = False
@@ -158,11 +158,8 @@ class Process(Event):
                     )
                 )
                 return
-            if self.sim._fastpath:
-                self._arm_delay(next_target, None)
-                return
-            # Determinism-audit mode: take the allocating Timeout path.
-            next_target = Timeout(self.sim, next_target)
+            self._arm_delay(next_target, None)
+            return
 
         if not isinstance(next_target, Event):
             error = SimulationError(
@@ -178,15 +175,13 @@ class Process(Event):
 
         if next_target.callbacks is None:
             # Already processed: resume on the next loop iteration.
-            if next_target.ok and self.sim._fastpath:
-                # Same zero-delay hop, minus the throwaway Event.
+            if next_target.ok:
                 self._arm_delay(0, next_target._value)
                 return
             ready = Event(self.sim, name="ready")
-            ready._ok = next_target.ok
+            ready._ok = False
             ready._value = next_target._value
-            if not next_target.ok:
-                ready._defused = True
+            ready._defused = True
             self._target = ready
             self.sim._schedule(ready, delay=0)
             ready.callbacks.append(self._resume)
@@ -195,7 +190,7 @@ class Process(Event):
             next_target.callbacks.append(self._resume)
 
     def _arm_delay(self, delay: int, value: Any) -> None:
-        """Park the process on the heap for ``delay`` ticks (fast path)."""
+        """Park the process on the heap for ``delay`` ticks."""
         wakeup = self._delay_wakeup
         if wakeup is None:
             # Our token is still in the heap from an abandoned delay; a
@@ -207,13 +202,8 @@ class Process(Event):
         wakeup.gen = self._delay_gen
         wakeup.value = value
         self._in_fast_delay = True
-        self.sim._schedule_wakeup(wakeup, delay)
+        self.sim._push(self.sim._now + delay, wakeup)
 
     def __repr__(self) -> str:
         status = "finished" if self.triggered else "alive"
         return f"<Process {self.name!r} {status}>"
-
-
-def sleep(sim: Simulator, delay: int) -> Event:
-    """Readable alias for ``sim.timeout(delay)`` inside process code."""
-    return sim.timeout(delay)

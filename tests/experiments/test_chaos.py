@@ -1,4 +1,5 @@
-"""Chaos experiment: the full fault arc, deterministically."""
+"""Chaos experiment: the full fault arc (``GOLDEN.txt`` pins the outputs
+of the 200, 500 and 1000 ms arms)."""
 
 from repro.experiments import render_chaos, run_chaos_arm
 from repro.sim import ms
@@ -7,32 +8,22 @@ from repro.sim import ms
 class TestChaosArm:
     """One 500 ms blackout arm (module-scoped budget: ~2 s per run)."""
 
-    def test_full_arc_and_determinism_across_kernel_fastpath(self):
-        fast = run_chaos_arm(blackout=ms(500), seed=1, fastpath=True)
-        classic = run_chaos_arm(blackout=ms(500), seed=1, fastpath=False)
-
-        # The acceptance criterion: same seed + same plan -> identical
-        # health timelines and identical reconverged state, regardless of
-        # the simulation kernel's execution mode.
-        assert fast.transitions == classic.transitions
-        assert fast.final_weights == classic.final_weights
-        assert fast.epoch == classic.epoch
-        assert fast.replays_sent == classic.replays_sent
-        assert fast.tunes_suppressed == classic.tunes_suppressed
+    def test_full_arc(self):
+        arm = run_chaos_arm(blackout=ms(500), seed=1)
 
         # The arc itself: detect -> fallback -> recover -> reconverge.
         for side in ("ixp", "x86"):
-            assert fast.detection_ms[side] > 0
-            assert fast.recovery_ms[side] > 0
-            assert fast.epoch[side] == 1
-        assert fast.fallback_ms >= fast.detection_ms["x86"]
-        assert fast.reconverge_ms >= 0
-        assert fast.replays_sent > 0
-        assert fast.tunes_suppressed > 0
+            assert arm.detection_ms[side] > 0
+            assert arm.recovery_ms[side] > 0
+            assert arm.epoch[side] == 1
+        assert arm.fallback_ms >= arm.detection_ms["x86"]
+        assert arm.reconverge_ms >= 0
+        assert arm.replays_sent > 0
+        assert arm.tunes_suppressed > 0
         # Lease hygiene: every transient boost expired, none stuck.
-        assert fast.stuck_leases == 0
-        assert fast.boost_triggers_sent > 0
+        assert arm.stuck_leases == 0
+        assert arm.boost_triggers_sent > 0
 
-        rendered = render_chaos([fast, classic])
+        rendered = render_chaos([arm])
         assert "Chaos" in rendered
         assert "all boost leases expired cleanly" in rendered

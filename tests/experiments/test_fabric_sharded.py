@@ -17,10 +17,10 @@ FANOUT = 4
 DURATION = seconds(2)
 
 
-def arm(shards, fastpath=True, blackout=True):
+def arm(shards, blackout=True):
     return run_fabric_sharded_arm(
         K, shards=shards, duration=DURATION, seed=3,
-        fastpath=fastpath, blackout=blackout, fanout=FANOUT,
+        blackout=blackout, fanout=FANOUT,
     )
 
 
@@ -35,9 +35,6 @@ class TestBitEquality:
         sharded = arm(shards=shards)
         assert sharded.metrics == reference.metrics
         assert sharded.shards == shards
-
-    def test_audit_path_matches_fast_path(self, reference):
-        assert arm(shards=2, fastpath=False).metrics == reference.metrics
 
     def test_execution_side_reported_separately(self, reference):
         sharded = arm(shards=2)

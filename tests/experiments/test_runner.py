@@ -161,12 +161,10 @@ def _render_all(pair):
 class TestPairBitReproducibility:
     """The acceptance test: artefacts identical across every execution mode."""
 
-    def test_serial_parallel_and_audit_paths_agree(self, tiny_config, monkeypatch):
+    def test_serial_and_parallel_paths_agree(self, tiny_config, monkeypatch):
         kwargs = dict(duration=seconds(6), seed=7, config=tiny_config)
         with monkeypatch.context() as serial:
             serial.setenv(PARALLEL_ENV, "0")
-            reference = _render_all(run_rubis_pair(fastpath=True, **kwargs))
-            audit = _render_all(run_rubis_pair(fastpath=False, **kwargs))
-        parallel = _render_all(run_rubis_pair(fastpath=True, **kwargs))
-        assert audit == reference, "fast path changed simulation results"
+            reference = _render_all(run_rubis_pair(**kwargs))
+        parallel = _render_all(run_rubis_pair(**kwargs))
         assert parallel == reference, "parallel execution changed results"

@@ -2,9 +2,9 @@
 
 The bar: in a traced coordinated run, >= 95% of applied Tunes are
 span-linked; spans survive retransmission and Tune coalescing with honest
-merged-span bookkeeping; span ids are deterministic across the simulation
-kernel's fast path and classic path; and tracing off means tracing *free* —
-the application-level results of a run are bit-identical either way.
+merged-span bookkeeping; span ids reproduce exactly for a seed; and tracing
+off means tracing *free* — the application-level results of a run are
+bit-identical either way.
 """
 
 from dataclasses import replace
@@ -17,7 +17,7 @@ from repro.sim import Simulator, ms, seconds
 from repro.testbed import ChannelConfig, Testbed, TestbedConfig
 
 
-def _traced_rubis(seed=5, loss=0.0, reliable=False, tracing=True, fastpath=True):
+def _traced_rubis(seed=5, loss=0.0, reliable=False, tracing=True):
     config = RubisConfig(
         coordinated=True,
         num_sessions=40,
@@ -31,7 +31,6 @@ def _traced_rubis(seed=5, loss=0.0, reliable=False, tracing=True, fastpath=True)
         ),
     )
     deployment = deploy_rubis(config)
-    deployment.testbed.sim._fastpath = fastpath
     deployment.run(seconds(16))
     # Drain in-flight frames so loops close before we read the records.
     deployment.run(seconds(2))
@@ -112,21 +111,6 @@ class TestSpansSurviveLossAndCoalescing:
         ids_a = [(r.trace_id, r.span_id, r.applied_at) for r in a.testbed.observatory.records]
         ids_b = [(r.trace_id, r.span_id, r.applied_at) for r in b.testbed.observatory.records]
         assert ids_a == ids_b
-
-
-class TestSpanIdDeterminism:
-    def test_span_ids_identical_across_kernel_fastpath(self):
-        fast = _traced_rubis(seed=5, fastpath=True)
-        classic = _traced_rubis(seed=5, fastpath=False)
-        loops_fast = [
-            (r.trace_id, r.span_id, r.minted_at, r.applied_at, r.entity)
-            for r in fast.testbed.observatory.records
-        ]
-        loops_classic = [
-            (r.trace_id, r.span_id, r.minted_at, r.applied_at, r.entity)
-            for r in classic.testbed.observatory.records
-        ]
-        assert loops_fast == loops_classic
 
 
 class TestTracingIsFree:

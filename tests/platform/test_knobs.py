@@ -1,9 +1,9 @@
 """Tests for the typed actuation layer: knobs, leases, audit, snapshots.
 
-Covers the ISSUE-3 satellites: the overlapping-trigger restore regression,
-trigger-to-non-boostable-entity resilience, bound clamping at min/max,
-zero-delta no-ops, and audit determinism across the simulation kernel's
-fast path and classic path.
+Covers the overlapping-trigger restore regression, trigger-to-non-
+boostable-entity resilience, bound clamping at min/max, zero-delta no-ops,
+and audit determinism across the kernel's integer-delay fast path and
+Timeout sleeps.
 """
 
 import pytest
@@ -431,20 +431,23 @@ class TestControllerSnapshotAndAudit:
         assert x86.knobs.stats()["tunes_applied"] == 2
         assert ixp.knobs.stats()["tunes_applied"] == 1
 
-    def _run_audited_scenario(self, fastpath):
-        sim = Simulator(fastpath=fastpath)
+    def _run_audited_scenario(self, int_yields):
+        sim = Simulator()
         island = build_ixp(sim)
         island.register_vm_flow("vm-a", service_weight=2)
         entity = EntityId("ixp", "vm-a")
 
+        def sleep(delay):
+            return delay if int_yields else sim.timeout(delay)
+
         def actor():
-            yield sim.timeout(ms(1))
+            yield sleep(ms(1))
             island.apply_tune(entity, +3)
-            yield sim.timeout(ms(1))
+            yield sleep(ms(1))
             island.apply_trigger(entity)
-            yield sim.timeout(us(200))
+            yield sleep(us(200))
             island.apply_trigger(entity)  # overlapping lease
-            yield sim.timeout(ms(5))
+            yield sleep(ms(5))
             island.apply_tune(entity, -50)
 
         sim.spawn(actor(), name="actor")
@@ -453,10 +456,11 @@ class TestControllerSnapshotAndAudit:
 
     def test_audit_log_deterministic_across_kernel_fastpath(self):
         """The audit trail (times, seqs, values) must be bit-equal whether
-        the simulation kernel runs its fast path or the classic path."""
-        fast = self._run_audited_scenario(fastpath=True)
-        classic = self._run_audited_scenario(fastpath=False)
-        assert fast == classic
+        the actor sleeps on the kernel's integer-delay fast path
+        (``yield n``) or on Timeouts."""
+        fast = self._run_audited_scenario(int_yields=True)
+        timeouts = self._run_audited_scenario(int_yields=False)
+        assert fast == timeouts
         ops = [r["op"] for r in fast]
         assert ops.count("trigger") == 2
         assert ops.count("trigger-release") == 2

@@ -89,13 +89,6 @@ class TestBitEquality:
         assert merged(run) == merged(reference)
         assert run.windows == reference.windows
 
-    def test_audit_path_matches_reference(self, reference):
-        plan = ShardPlan(ring_topology(), shards=2)
-        run = run_sharded(
-            plan, build_ping_world, (9,), duration=DURATION, fastpath=False
-        )
-        assert merged(run) == merged(reference)
-
     def test_process_engine_matches_reference(self, reference, monkeypatch):
         from repro.parallel import WORKERS_ENV, plan_execution
 

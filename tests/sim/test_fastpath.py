@@ -1,10 +1,9 @@
 """The integer-delay fast path must be indistinguishable from Timeout.
 
 ``yield n`` and ``yield sim.timeout(n)`` are two spellings of the same
-sleep. These tests run paired scenarios — one process tree per spelling,
-or the same int-yielding tree under ``Simulator(fastpath=False)`` — and
-assert bit-identical behaviour: event ordering, final clock, trace
-streams. Plus the sharp edges: interrupts landing mid-delay (stale token
+sleep. These tests run one process tree per spelling and assert
+bit-identical behaviour: event ordering, final clock, kernel event count.
+Plus the sharp edges: interrupts landing mid-delay (stale token
 recycling), ``Timeout.cancel`` lazy deletion and heap compaction, the
 ``Tracer.wants`` memo, and the yield-type guardrails.
 """
@@ -62,8 +61,8 @@ def _mixed_workload(sim, log, use_fastpath_spelling):
     sim.spawn(poker(victim), name="poker")
 
 
-def _run_mixed(fastpath_sim, fastpath_spelling):
-    sim = Simulator(fastpath=fastpath_sim)
+def _run_mixed(fastpath_spelling):
+    sim = Simulator()
     log = []
     _mixed_workload(sim, log, fastpath_spelling)
     sim.run()
@@ -72,21 +71,15 @@ def _run_mixed(fastpath_sim, fastpath_spelling):
 
 class TestPairedDeterminism:
     def test_int_yield_matches_timeout_yield(self):
-        fast_log, fast_end = _run_mixed(True, True)
-        classic_log, classic_end = _run_mixed(True, False)
+        fast_log, fast_end = _run_mixed(True)
+        classic_log, classic_end = _run_mixed(False)
         assert fast_log == classic_log
         assert fast_end == classic_end
 
-    def test_fastpath_off_audit_knob_matches(self):
-        # Same int-yield spelling, routed through the allocating path.
-        fast_log, fast_end = _run_mixed(True, True)
-        audit_log, audit_end = _run_mixed(False, True)
-        assert fast_log == audit_log
-        assert fast_end == audit_end
-
     def test_sequence_numbers_consumed_identically(self):
-        # Equal _seq after equal scenarios means every scheduling decision
-        # happened at the same points — the strongest ordering witness.
+        # Equal event counts after equal scenarios mean every scheduling
+        # decision happened at the same points — the strongest ordering
+        # witness.
         sims = []
         for spelling in (True, False):
             sim = Simulator()
@@ -94,7 +87,7 @@ class TestPairedDeterminism:
             _mixed_workload(sim, log, spelling)
             sim.run()
             sims.append(sim)
-        assert sims[0]._seq == sims[1]._seq
+        assert sims[0].events == sims[1].events
 
 
 class TestFastDelaySemantics:

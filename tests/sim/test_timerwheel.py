@@ -2,15 +2,18 @@
 
 Near-future entries land in O(1) wheel slots; far-future ones overflow
 to the heap and cascade in as the cursor approaches. These tests pin the
-merge invariants — pop order identical to one global heap, slot-boundary
-and horizon edges, stale interrupt tokens parked in wheel slots — and
-the :class:`PeriodicTask` primitive's contract: generator-identical tick
-times, FIFO interleaving, one sequence number per tick in both fastpath
-modes, and lazy cancellation. Plus the satellite regressions: ``peek``
-skipping lazily-cancelled heads and exact compaction accounting under
-cancel-heavy mixed wheel/heap load.
+merge invariants — time-then-FIFO pop order, slot-boundary and horizon
+edges, stale interrupt tokens parked in wheel slots — and the
+:class:`PeriodicTask` primitive's contract: generator-identical tick
+times, FIFO interleaving, one sequence number per tick (bit-identical to
+a Timeout chain that creates its next timer before calling ``fn``), and
+lazy cancellation. Plus the satellite regressions: ``peek`` skipping
+lazily-cancelled heads and exact compaction accounting under
+cancel-heavy mixed wheel/heap load. ``test_order_oracle.py`` checks the
+pop order against its definition on random programs.
 """
 
+import functools
 import random
 
 import pytest
@@ -50,13 +53,6 @@ class TestWheelRouting:
         assert sim._heap
         assert sim._wheel_count == 0
 
-    def test_audit_mode_never_uses_wheel_slots(self):
-        sim = Simulator(fastpath=False)
-        sim.timeout(SLOT * 3)
-        sim.timeout(HORIZON * 2)
-        assert sim._wheel_count == 0
-        assert len(sim._heap) + len(sim._ready) == 2
-
 
 def _scattered_timers(sim, log):
     """Timers spread across ready/wheel/heap, with same-time collisions."""
@@ -74,16 +70,6 @@ def _scattered_timers(sim, log):
 
 
 class TestWheelVsHeapOrdering:
-    def test_pop_order_matches_classic_heap(self):
-        logs = []
-        for fastpath in (True, False):
-            sim = Simulator(fastpath=fastpath)
-            log = []
-            _scattered_timers(sim, log)
-            sim.run()
-            logs.append((log, sim.now, sim.events))
-        assert logs[0] == logs[1]
-
     def test_all_entries_fire_in_time_then_fifo_order(self):
         sim = Simulator()
         log = []
@@ -241,12 +227,16 @@ class TestPeriodicTask:
         assert "sample_window" in repr(task)
 
 
-def _periodic_workload(sim, log):
-    """Periodic tasks racing one-shot timers and a spawned process."""
-    sim.periodic(SLOT // 2, lambda: log.append((sim.now, "fast")))
-    sim.periodic(SLOT * 5, lambda: log.append((sim.now, "slow")))
-    sim.periodic(SLOT * 3, lambda: log.append((sim.now, "mid")), first_delay=7)
-    doomed = sim.periodic(SLOT, lambda: log.append((sim.now, "doomed")))
+def _periodic_workload(sim, log, every):
+    """Periodic ticks racing one-shot timers and a spawned process.
+
+    ``every(period, fn, first_delay=None)`` is the periodic spelling under
+    test; it returns a handle with ``cancel()``.
+    """
+    every(SLOT // 2, lambda: log.append((sim.now, "fast")))
+    every(SLOT * 5, lambda: log.append((sim.now, "slow")))
+    every(SLOT * 3, lambda: log.append((sim.now, "mid")), first_delay=7)
+    doomed = every(SLOT, lambda: log.append((sim.now, "doomed")))
     sim.call_at(SLOT * 4, doomed.cancel)
 
     def proc():
@@ -259,29 +249,46 @@ def _periodic_workload(sim, log):
         sim.call_in(SLOT * k + 3, lambda k=k: log.append((sim.now, f"timer-{k}")))
 
 
-class TestPeriodicTaskAuditEquality:
-    def test_fastpath_modes_bit_identical(self):
+class _TimeoutChain:
+    """``sim.periodic`` spelled with Timeouts: each tick creates the next
+    ``sim.timeout(period)`` before it calls ``fn``."""
+
+    def __init__(self, sim, period, fn, first_delay=None):
+        self.sim = sim
+        self.period = period
+        self.fn = fn
+        self._arm(period if first_delay is None else first_delay)
+
+    def _arm(self, delay):
+        self.timer = self.sim.timeout(delay)
+        self.timer.callbacks.append(self._tick)
+
+    def _tick(self, _event):
+        self._arm(self.period)
+        self.fn()
+
+    def cancel(self):
+        self.timer.cancel()
+
+
+class TestPeriodicTaskSpellings:
+    def test_periodic_matches_timeout_chain(self):
         # The strongest determinism witness: identical event logs, final
-        # clocks AND sequence counters across the wheel and the classic
-        # heap — every scheduling decision happened at the same point.
+        # clocks AND event counters for the allocation-free task and the
+        # Timeout chain — every scheduling decision happened at the same
+        # point.
         results = []
-        for fastpath in (True, False):
-            sim = Simulator(fastpath=fastpath)
+        for spelling in ("task", "chain"):
+            sim = Simulator()
             log = []
-            _periodic_workload(sim, log)
+            if spelling == "task":
+                every = sim.periodic
+            else:
+                every = functools.partial(_TimeoutChain, sim)
+            _periodic_workload(sim, log, every)
             sim.run(until=SLOT * 25)
             results.append((log, sim.now, sim.events))
         assert results[0] == results[1]
-
-    def test_mid_run_fastpath_flip_migrates_tasks(self):
-        # Experiments set sim._fastpath after construction; a task armed
-        # in one mode must re-arm correctly in the other at its next tick.
-        sim = Simulator(fastpath=True)
-        times = []
-        sim.periodic(100, lambda: times.append(sim.now))
-        sim.call_at(250, lambda: setattr(sim, "_fastpath", False))
-        sim.run(until=600)
-        assert times == [100, 200, 300, 400, 500, 600]
 
 
 class TestPeekSkipsCancelled:
