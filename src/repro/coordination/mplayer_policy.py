@@ -221,9 +221,3 @@ class StreamQoSTunePolicy:
             self.agent.send_tune(
                 self.vm_entities[vm_name], delta, reason="epoch-replay", span=span
             )
-
-    def channel_stats(self) -> dict[str, int]:
-        """Reliability counters of the sending endpoint (empty over the
-        raw mailbox); stage re-actuations for the same VM coalesce while
-        an earlier Tune is still awaiting its ack."""
-        return self.agent.channel_stats()

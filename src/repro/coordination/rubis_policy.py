@@ -181,10 +181,3 @@ class RequestTypeTunePolicy:
     def shadow_weights(self) -> dict[EntityId, int]:
         """The policy's current belief of tier weights."""
         return dict(self._shadow)
-
-    def channel_stats(self) -> dict[str, int]:
-        """Reliability counters of the sending endpoint, when the agent is
-        bound to the reliable layer. Per-request Tunes make this policy
-        the main beneficiary of coalescing: under bursty mixes many of its
-        ``tunes_sent`` collapse into far fewer frames on the wire."""
-        return self.agent.channel_stats()

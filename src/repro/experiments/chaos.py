@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..apps.rubis import WEB_VM, RubisConfig, deploy_rubis
 from ..faults import ChannelBlackout, FaultConfig, FaultPlan
-from ..parallel import Job, Sweep
+from ..parallel import Job, run_jobs
 from ..platform import EntityId
 from ..sim import ms, seconds
 from ..testbed import ChannelConfig, TestbedConfig
@@ -231,14 +231,14 @@ def run_chaos_sweep(
     blackouts=DEFAULT_BLACKOUTS, seed: int = 1
 ) -> list[ChaosArmResult]:
     """Sweep blackout durations, one independent arm each, fanned out."""
-    return Sweep(
+    return run_jobs(
         Job(
             run_chaos_arm,
             kwargs={"blackout": blackout, "seed": seed},
             label=f"chaos:{blackout}",
         )
         for blackout in blackouts
-    ).run()
+    )
 
 
 def render_chaos(results: list[ChaosArmResult]) -> str:

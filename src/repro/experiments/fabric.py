@@ -232,7 +232,7 @@ def run_fabric_arm(
                 if delta:
                     testbed.islands[name].apply_tune(EntityId(name, "probe"), delta)
                 if arm == "hierarchical":
-                    directory.report_load(name, mean)
+                    directory.report_load(name)
                     report_counts[name] += 1
 
         for name in names:

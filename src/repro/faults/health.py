@@ -49,8 +49,9 @@ PEER_SUSPECT = "suspect"
 PEER_DOWN = "down"
 
 #: Trace kinds emitted by the health layer (source = ``health``) and the
-#: fault-armed agent (source = ``coord``). Subscribed by
-#: :class:`~repro.metrics.HealthCollector`.
+#: fault-armed agent (source = ``coord``). The detector keeps its own
+#: counts and timeline (:meth:`FailureDetector.health`); the trace carries
+#: the same transitions for interactive runs and trace tooling.
 HEALTH_TRACE_KINDS = (
     "heartbeat-sent",
     "heartbeat-received",

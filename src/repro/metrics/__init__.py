@@ -1,14 +1,7 @@
 """Measurement: summary statistics, CPU sampling, response-time recording
 and the paper's platform-efficiency metric."""
 
-from .actuation import ActuationCollector
 from .breakdown import RX_PATH_STAGES, LatencyBreakdown, StageStats
-from .channel import (
-    CHANNEL_TRACE_KINDS,
-    RAW_DROP_KIND,
-    RELIABLE_TRACE_KINDS,
-    ChannelReliabilityCollector,
-)
 from .collector import (
     CpuUtilizationSampler,
     TimePoint,
@@ -22,23 +15,16 @@ from .energyqos import (
     QosCheck,
     WindowedQosSource,
 )
-from .health import HealthCollector
 from .response import ResponseTimeRecorder
 from .timeline import RunInterval, SchedulingTimeline
 from .stats import OnlineStats, Summary, percentile, summarize
 
 __all__ = [
-    "ActuationCollector",
-    "CHANNEL_TRACE_KINDS",
-    "ChannelReliabilityCollector",
     "CpuUtilizationSampler",
     "ENERGY_QOS_KNOB_KINDS",
     "EnergyQosCollector",
     "QosCheck",
-    "RAW_DROP_KIND",
     "WindowedQosSource",
-    "RELIABLE_TRACE_KINDS",
-    "HealthCollector",
     "LatencyBreakdown",
     "RX_PATH_STAGES",
     "StageStats",

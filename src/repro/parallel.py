@@ -3,12 +3,12 @@
 Every experiment arm is one isolated :class:`~repro.sim.core.Simulator` —
 arms share no state, so a config sweep or a baseline/coordinated pair is
 embarrassingly parallel. The unit of work is a :class:`Job` (a picklable
-module-level callable, its arguments and a display label); a
-:class:`Sweep` fans a list of jobs out over a
+module-level callable, its arguments and a display label);
+:func:`run_jobs` fans any iterable of jobs out over a
 ``ProcessPoolExecutor`` (one worker process per job, results in
 submission order).
 
-Both sweeps and the shard coordinator (:mod:`repro.shard.runtime`)
+Both :func:`run_jobs` and the shard coordinator (:mod:`repro.shard.runtime`)
 decide serial vs parallel up front with :func:`plan_execution`, so
 ``REPRO_PARALLEL=0`` tames every fan-out alike. This module has no
 dependencies inside the package, so either side can import it without
@@ -21,7 +21,7 @@ dragging the other in. The environment contract:
   fan-outs degrade to serial instead of spawning pools of pools.
 
 A failure of the pool itself — unpicklable arguments, a broken worker, a
-sandbox refusing to fork — falls back to re-running the sweep serially,
+sandbox refusing to fork — falls back to re-running the batch serially,
 with the reason logged once per distinct cause (logger
 ``repro.parallel``). Determinism is untouched by construction: a job's
 result depends only on its callable and arguments, never on which
@@ -35,7 +35,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 #: Set to "0" to force serial execution regardless of core count.
 PARALLEL_ENV = "REPRO_PARALLEL"
@@ -89,7 +89,7 @@ def default_workers() -> int:
 def plan_execution(njobs: int, max_workers: Optional[int] = None) -> ExecutionPlan:
     """Decide serial vs parallel for ``njobs`` independent jobs.
 
-    Shared by :class:`Sweep` and the shard coordinator, so every fan-out
+    Shared by :func:`run_jobs` and the shard coordinator, so every fan-out
     in the repo degrades by the same rules and for inspectable reasons.
     """
     if max_workers is None:
@@ -144,60 +144,26 @@ def _run_job(job: Job) -> Any:
     return job.run()
 
 
-class Sweep:
-    """An ordered batch of independent :class:`Job`\\ s.
-
-    ``Sweep.run()`` returns one result per job, in submission order,
-    fanning out over a process pool when :func:`plan_execution` says it
-    can help.
-    """
-
-    def __init__(self, jobs: Iterable[Job] = ()):
-        self.jobs: list[Job] = list(jobs)
-
-    @classmethod
-    def of(
-        cls,
-        fn: Callable[..., Any],
-        points: Sequence[dict],
-        label: str = "",
-    ) -> "Sweep":
-        """One job per sweep point: ``fn(**point)`` for every point."""
-        name = label or getattr(fn, "__name__", "sweep")
-        return cls(
-            Job(fn, kwargs=dict(point), label=f"{name}[{i}]")
-            for i, point in enumerate(points)
-        )
-
-    def add(self, job: Job) -> "Sweep":
-        self.jobs.append(job)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def run(self, max_workers: Optional[int] = None) -> list[Any]:
-        """Run every job; results in submission order."""
-        jobs = self.jobs
-        plan = plan_execution(len(jobs), max_workers=max_workers)
-        if not plan.parallel:
-            return [job.run() for job in jobs]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=plan.workers, initializer=mark_worker
-            ) as pool:
-                futures = [pool.submit(_run_job, job) for job in jobs]
-                return [future.result() for future in futures]
-        except Exception as exc:
-            # Pool trouble (unpicklable job, broken worker, fork refused
-            # by the sandbox): jobs are pure functions of their
-            # arguments, so a serial re-run is always safe — a genuine
-            # experiment error re-raises from here with an honest
-            # traceback.
-            log_fallback(f"{type(exc).__name__}: {exc}")
-            return [job.run() for job in jobs]
-
-
 def run_jobs(jobs: Iterable[Job], max_workers: Optional[int] = None) -> list[Any]:
-    """Run a batch of jobs; shorthand for ``Sweep(jobs).run(...)``."""
-    return Sweep(jobs).run(max_workers=max_workers)
+    """Run a batch of independent jobs; results in submission order.
+
+    ``jobs`` may be any iterable, a generator included. The batch fans
+    out over a process pool when :func:`plan_execution` says it can help.
+    """
+    jobs = list(jobs)
+    plan = plan_execution(len(jobs), max_workers=max_workers)
+    if not plan.parallel:
+        return [job.run() for job in jobs]
+    try:
+        with ProcessPoolExecutor(
+            max_workers=plan.workers, initializer=mark_worker
+        ) as pool:
+            futures = [pool.submit(_run_job, job) for job in jobs]
+            return [future.result() for future in futures]
+    except Exception as exc:
+        # Pool trouble (unpicklable job, broken worker, fork refused by
+        # the sandbox): jobs are pure functions of their arguments, so a
+        # serial re-run is always safe — a genuine experiment error
+        # re-raises from here with an honest traceback.
+        log_fallback(f"{type(exc).__name__}: {exc}")
+        return [job.run() for job in jobs]

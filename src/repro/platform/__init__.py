@@ -12,7 +12,6 @@ controller is the central flavour.
 from .directory import (
     DIRECTORY_KINDS,
     CentralDirectory,
-    ClusterLoad,
     Directory,
     DirectoryBase,
     GossipDirectory,
@@ -41,7 +40,6 @@ __all__ = [
     "ACTUATION_TRACE_KINDS",
     "ActuationRecord",
     "CentralDirectory",
-    "ClusterLoad",
     "ClusterSpec",
     "DEFAULT_LINK_LATENCY",
     "DIRECTORY_KINDS",

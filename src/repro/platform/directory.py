@@ -13,9 +13,8 @@ implementations:
 * :class:`HierarchicalDirectory` — island clusters with local aggregator
   nodes (shape declared by a :class:`~repro.platform.fabric.
   FabricTopology`): cluster-local ownership tables at aggregators, a
-  root table mapping entities to clusters, load reports coalesced
-  upward once per aggregation period, and Tunes fanned downward through
-  each island's PR-3 knob registry. Concentration O(fanout).
+  root table mapping entities to clusters, and load reports coalesced
+  upward once per aggregation period. Concentration O(fanout).
 * :class:`GossipDirectory` — no rendezvous point at all: every node
   holds a *view* of entity-ownership and peer-health records, and an
   anti-entropy round (a deterministic :class:`~repro.sim.PeriodicTask`)
@@ -359,17 +358,6 @@ class CentralDirectory(DirectoryBase):
         return self._owner_of.get(entity_id)
 
 
-@dataclass(frozen=True, slots=True)
-class ClusterLoad:
-    """One coalesced upward load report from an aggregator."""
-
-    cluster: str
-    mean: float
-    peak: float
-    reports: int
-    stamped_at: int
-
-
 class HierarchicalDirectory(DirectoryBase):
     """Cluster-local ownership tables at aggregators, entity->cluster at
     the root, load reports coalesced upward once per aggregation period.
@@ -379,6 +367,12 @@ class HierarchicalDirectory(DirectoryBase):
     cross-cluster resolution adds one at the root and one at the target
     cluster's aggregator. Nothing ever concentrates more than
     O(cluster fanout) on a single node.
+
+    Load reports are message accounting only: each island's manager acts
+    on its own load, so the directory keeps what the reports cost, not
+    what they carried. ``reports_received`` always equals
+    ``reports_coalesced`` plus the reports still pending at the
+    aggregators.
     """
 
     def __init__(
@@ -393,8 +387,8 @@ class HierarchicalDirectory(DirectoryBase):
             cluster.name: {} for cluster in topology.clusters
         }
         self._root_table: dict[EntityId, str] = {}
-        self._pending_reports: dict[str, dict[str, float]] = {}
-        self._cluster_loads: dict[str, ClusterLoad] = {}
+        #: cluster -> raw reports its aggregator holds for the next summary.
+        self._pending_reports: dict[str, int] = {}
         self.reports_received = 0
         self.reports_coalesced = 0
         self.summaries_sent = 0
@@ -450,63 +444,25 @@ class HierarchicalDirectory(DirectoryBase):
 
     # -- upward load coalescing ---------------------------------------------
 
-    def report_load(self, island_name: str, value: float) -> None:
-        """Accept one island's load figure at its aggregator. Reports
+    def report_load(self, island_name: str) -> None:
+        """Accept one island's load report at its aggregator. Reports
         accumulate per cluster and coalesce into a single upward summary
         per aggregation period — each raw report costs its aggregator one
         message (O(fanout) concentration), but only the coalesced summary
         costs the root."""
         cluster = self._cluster_name(island_name)
-        self._pending_reports.setdefault(cluster, {})[island_name] = value
+        self._pending_reports[cluster] = self._pending_reports.get(cluster, 0) + 1
         self.reports_received += 1
         self._count(self.topology.aggregator_of(island_name))
 
     def _aggregate_tick(self) -> None:
-        for cluster in sorted(self._pending_reports):
-            reports = self._pending_reports[cluster]
-            if not reports:
-                continue
-            values = list(reports.values())
-            self._cluster_loads[cluster] = ClusterLoad(
-                cluster=cluster,
-                mean=sum(values) / len(values),
-                peak=max(values),
-                reports=len(values),
-                stamped_at=self.sim.now,
-            )
-            self.reports_coalesced += len(values)
-            self.summaries_sent += 1
-            self._count(self.topology.root)
-            reports.clear()
-
-    def cluster_loads(self) -> dict[str, ClusterLoad]:
-        """Latest coalesced per-cluster load summaries, as the root sees
-        them."""
-        return dict(self._cluster_loads)
-
-    # -- downward fan-out ----------------------------------------------------
-
-    def fan_tune(self, local_name: str, delta: int, reason: str = "fabric-fan") -> list:
-        """Fan one Tune to every island owning ``local_name`` through the
-        PR-3 knob registries: root -> aggregators (one message each) ->
-        member islands. Returns the actuation records, in fabric order."""
-        records = []
-        for cluster in self.topology.clusters:
-            table = self._cluster_tables[cluster.name]
-            targets = [
-                (entity, owner) for entity, owner in table.items()
-                if entity.local_name == local_name
-            ]
-            if not targets:
-                continue
-            self._count(cluster.aggregator)
-            for entity, owner in sorted(targets, key=lambda t: str(t[0])):
-                island = self._islands.get(owner)
-                if island is None or not island.has_entity(entity):
-                    continue
-                self._count(owner)
-                records.append(island.apply_tune(entity, delta))
-        return records
+        # One summary per cluster that heard from anyone this period.
+        pending = self._pending_reports
+        if pending:
+            self.reports_coalesced += sum(pending.values())
+            self.summaries_sent += len(pending)
+            self._count(self.topology.root, len(pending))
+            pending.clear()
 
 
 class GossipDirectory(DirectoryBase):

@@ -26,7 +26,8 @@ Two failure classes are deliberately *not* respawned around:
 
 Recovery events are counted (``supervision.*`` keys in
 ``ShardRunResult.counters``) and logged into a :class:`SupervisionLog`,
-the harness-side sibling of :class:`~repro.metrics.HealthCollector`:
+the harness-side counterpart of the simulated
+:class:`~repro.faults.FailureDetector`'s transition timeline:
 wall-clock-stamped events, per-kind counts, per-shard timelines and the
 total recovery wall time.
 """
@@ -112,9 +113,10 @@ class FaultScript:
 class SupervisionLog:
     """Wall-clock event log + counters for harness recovery events.
 
-    The harness-side sibling of :class:`~repro.metrics.HealthCollector`:
-    the simulation collector watches *simulated* failure detectors; this
-    log watches the real processes running the simulation. Event kinds:
+    The harness-side counterpart of
+    :attr:`~repro.faults.FailureDetector.transitions`: a detector watches
+    a *simulated* peer; this log watches the real processes running the
+    simulation. Event kinds:
     ``worker-crash``, ``worker-hang``, ``worker-respawned``,
     ``finish-timeout``, ``journal-truncated``, ``degraded-inline``,
     ``inline-replay``.

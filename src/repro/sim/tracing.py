@@ -1,9 +1,11 @@
 """Lightweight structured tracing.
 
 Components publish ``(time, source, kind, payload)`` records to a
-:class:`Tracer`; sinks subscribe by kind (or to everything). Metrics
-collectors are just sinks, so measurement never reaches into component
-internals.
+:class:`Tracer`; sinks subscribe by kind (or to everything). A trace is
+the timeline of a run; its counts are kept where they are produced
+(channel ``stats()``, ``island.knobs.stats()``,
+``FailureDetector.health()``), so no sink re-counts them. The per-kind
+totals of a traced run are one call away: :meth:`TraceLog.count_by_kind`.
 """
 
 from __future__ import annotations

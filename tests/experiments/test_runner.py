@@ -1,10 +1,10 @@
 """The parallel runner must change wall time only, never results.
 
-Covers the typed Sweep/Job fan-out machinery (ordering, the
+Covers the typed Job/run_jobs fan-out machinery (ordering, the
 plan_execution serial-degradation rules, REPRO_WORKERS validation, the
 logged pool-failure fallback) and the acceptance criterion for the whole
 optimisation effort: a short RUBiS pair renders bit-identical paper
-artefacts whether it runs serial, parallel, fast path or audit path.
+artefacts whether it runs serial or parallel.
 """
 
 import logging
@@ -19,7 +19,6 @@ from repro.parallel import (
     PARALLEL_ENV,
     WORKERS_ENV,
     Job,
-    Sweep,
     default_workers,
     plan_execution,
     run_jobs,
@@ -41,12 +40,15 @@ class TestSweep:
         assert results == [i * i for i in range(8)]
 
     def test_kwargs_and_labels(self):
-        sweep = Sweep([Job(square, kwargs={"x": 3}, label="a"), Job(square, args=(4,))])
-        assert sweep.run() == [9, 16]
-        assert repr(sweep.jobs[0]) == "Job(a)"
+        jobs = [Job(square, kwargs={"x": 3}, label="a"), Job(square, args=(4,))]
+        assert run_jobs(jobs) == [9, 16]
+        assert run_jobs(job for job in jobs) == [9, 16]
+        assert repr(jobs[0]) == "Job(a)"
 
     def test_sweep_of_points(self):
-        assert Sweep.of(square, [{"x": 2}, {"x": 5}]).run() == [4, 25]
+        points = [{"x": 2}, {"x": 5}]
+        assert run_jobs([Job(square, kwargs=point) for point in points]) == [4, 25]
+        assert run_jobs(Job(square, kwargs=point) for point in points) == [4, 25]
 
     def test_serial_when_single_job(self):
         assert run_jobs([Job(square, args=(7,))]) == [49]

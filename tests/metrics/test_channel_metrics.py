@@ -1,12 +1,21 @@
-"""Tests for channel-reliability metrics and windowed-counter alignment."""
+"""Windowed-counter alignment, and the channel's trace totals against
+the counters its producers keep."""
 
 from repro.interconnect import CoordinationChannel, ReliableChannel
-from repro.metrics import (
-    CHANNEL_TRACE_KINDS,
-    ChannelReliabilityCollector,
-    WindowedCounter,
-)
-from repro.sim import RandomStreams, Simulator, Tracer, ms, seconds, us
+from repro.metrics import WindowedCounter
+from repro.sim import RandomStreams, Simulator, TraceLog, Tracer, ms, seconds, us
+
+#: Channel trace kind -> the ``ReliableChannel.stats()`` counter that
+#: counts the same event at its producer.
+TRACE_KIND_COUNTERS = {
+    "frame-sent": "frames_sent",
+    "frame-retransmit": "retransmits",
+    "frame-acked": "frames_acked",
+    "frame-dup-dropped": "dups_dropped",
+    "frame-coalesced": "coalesced",
+    "frame-dead-letter": "dead_lettered",
+    "msg-dropped": "raw_lost",
+}
 
 
 class TestWindowedCounterAlignment:
@@ -61,11 +70,12 @@ class TestWindowedCounterAlignment:
         assert counter.rate_per_second(seconds(1), seconds(3)) == 5.0
 
 
-class TestChannelReliabilityCollector:
-    def test_collects_reliability_kinds(self):
+class TestChannelTraceTotals:
+    def test_trace_totals_match_producer_counters(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        collector = ChannelReliabilityCollector(sim, tracer)
+        log = TraceLog()
+        tracer.subscribe(log)
         raw = CoordinationChannel(
             sim,
             latency=us(100),
@@ -79,23 +89,11 @@ class TestChannelReliabilityCollector:
         for i in range(40):
             sender.send(i)
         sim.run()
-        totals = collector.totals()
-        assert set(totals) == set(CHANNEL_TRACE_KINDS)
+        totals = log.count_by_kind()
+        stats = reliable.stats()
+        for kind, counter in TRACE_KIND_COUNTERS.items():
+            assert totals.get(kind, 0) == stats[counter], kind
         assert totals["frame-sent"] == sender.frames_sent == 40
         assert totals["frame-retransmit"] == sender.retransmits > 0
         assert totals["frame-acked"] == sender.frames_acked
         assert totals["msg-dropped"] == raw.messages_lost > 0
-        assert collector.total("frame-sent") == 40
-        assert sum(p.value for p in collector.series("frame-sent")) == 40
-        assert collector.rate_per_second("frame-sent") > 0
-
-    def test_silent_with_tracing_disabled(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=False)
-        collector = ChannelReliabilityCollector(sim, tracer)
-        raw = CoordinationChannel(sim, latency=0, tracer=tracer)
-        reliable = ReliableChannel(raw)
-        reliable.endpoint("x86").set_receiver(lambda m: None)
-        reliable.endpoint("ixp").send("m")
-        sim.run()
-        assert all(v == 0 for v in collector.totals().values())

@@ -12,7 +12,6 @@ from repro.coordination import CoordinationAgent
 from repro.gpu import GPUIsland
 from repro.interconnect import CoordinationChannel, MessageRing, PCIeBus
 from repro.ixp import IXPIsland, IXPParams
-from repro.metrics import ActuationCollector
 from repro.platform import (
     EntityId,
     Knob,
@@ -466,29 +465,36 @@ class TestControllerSnapshotAndAudit:
         assert ops.count("trigger-release") == 2
 
 
-class TestActuationCollector:
-    def test_collector_counts_and_attributes(self):
+class TestActuationTrace:
+    """Every actuation trace record is counted by the registry that emits
+    it: a traced run's per-kind totals equal ``knobs.stats()``."""
+
+    def test_trace_totals_match_registry_stats(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        collector = ActuationCollector(sim, tracer)
+        log = TraceLog()
+        tracer.subscribe(log)
         island = X86Island(sim, X86Params(num_cpus=1), tracer=tracer)
         island.create_vm("guest")
         island.apply_tune(EntityId("x86", "guest"), +64)
         island.apply_tune(EntityId("x86", "guest"), +100_000)
         island.apply_trigger(EntityId("x86", "guest"))
-        assert collector.total("tune-applied") == 2
-        assert collector.total("tune-clamped") == 1
-        assert collector.total("trigger-applied") == 1
-        attribution = collector.attribution()
-        assert attribution["x86/guest"] == {"tunes": 2, "triggers": 1}
+        totals = log.count_by_kind()
+        stats = island.knobs.stats()
+        assert totals["tune-applied"] == stats["tunes_applied"] == 2
+        assert totals["tune-clamped"] == stats["tunes_clamped"] == 1
+        assert totals["trigger-applied"] == stats["triggers_applied"] == 1
 
-    def test_collector_sees_lease_releases(self):
+    def test_lease_release_traced(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        collector = ActuationCollector(sim, tracer)
+        log = TraceLog()
+        tracer.subscribe(log)
         island = IXPIsland(sim, tracer=tracer)
         island.register_vm_flow("vm-a")
         island.apply_trigger(EntityId("ixp", "vm-a"))
+        assert log.of_kind("trigger-released") == []
         sim.run(until=island.params.monitor_period * 5)
-        assert collector.total("trigger-applied") == 1
-        assert collector.total("trigger-released") == 1
+        totals = log.count_by_kind()
+        assert totals["trigger-applied"] == island.knobs.stats()["triggers_applied"] == 1
+        assert totals["trigger-released"] == 1
