@@ -1,65 +1,47 @@
-"""HealthCollector: the trace-side view of the fault domain."""
+"""The fault-health trace records equal what the detectors and the
+injector keep themselves."""
 
 from repro.faults import ChannelBlackout, FaultConfig, FaultPlan
-from repro.metrics import HealthCollector
-from repro.sim import ms, seconds
+from repro.sim import TraceLog, ms, seconds
 from repro.testbed import Testbed, TestbedConfig
 
 BLACKOUT = ChannelBlackout(start=ms(500), duration=ms(420))
 
 
-def traced_chaos_testbed(seed=3):
+def traced_blackout_run(seed=3):
     testbed = Testbed(TestbedConfig(
         seed=seed,
         tracing=True,
         faults=FaultConfig(plan=FaultPlan((BLACKOUT,))),
     ))
-    collector = HealthCollector(testbed.sim, testbed.tracer)
-    return testbed, collector
+    log = TraceLog()
+    testbed.tracer.subscribe(log)
+    testbed.run(seconds(2))
+    return testbed, log
 
 
 class TestHealthCollector:
     def test_state_timeline_matches_detector_transitions(self):
-        testbed, collector = traced_chaos_testbed()
-        testbed.run(seconds(2))
+        testbed, log = traced_blackout_run()
         for side in ("ixp", "x86"):
-            detector_view = [
-                (time, state)
-                for time, state, _reason in testbed.detectors[side].transitions
-                if state != "up" or time > 0  # the init entry is not traced
+            traced = [
+                (r.time, r.kind.removeprefix("peer-"), r.payload["reason"])
+                for r in log.records
+                if r.kind.startswith("peer-") and r.payload["island"] == side
             ]
-            assert collector.transitions(side) == detector_view
-
-    def test_latency_helpers(self):
-        testbed, collector = traced_chaos_testbed()
-        testbed.run(seconds(2))
-        for side in ("ixp", "x86"):
-            detection = collector.detection_latency(side, BLACKOUT.start)
-            recovery = collector.recovery_latency(side, BLACKOUT.end)
-            assert detection is not None and 0 < detection <= ms(250)
-            assert recovery is not None and 0 < recovery <= ms(250)
-            assert collector.downtime(side) > 0
-        assert collector.detection_latency("ixp", seconds(10)) is None
+            # The detector's first entry is its initial state, not traced.
+            assert traced == testbed.detectors[side].transitions[1:]
 
     def test_counts_and_events(self):
-        testbed, collector = traced_chaos_testbed()
-        testbed.run(seconds(2))
-        totals = collector.totals()
-        assert totals["heartbeat-sent"] > 0
+        testbed, log = traced_blackout_run()
+        totals = log.count_by_kind()
+        assert totals["peer-down"] == totals["epoch-bump"] == 2  # one per side
+        assert totals["fault-injected"] == totals["fault-cleared"] == 1
+        assert [
+            (r.time, r.kind) for r in log.records if r.kind.startswith("fault-")
+        ] == [(time, kind) for time, kind, _ in testbed.fault_injector.log]
+        assert testbed.fault_injector.log[0][0] == BLACKOUT.start
+        assert totals["heartbeat-sent"] == sum(
+            detector.heartbeats_sent for detector in testbed.detectors.values()
+        )
         assert totals["heartbeat-received"] > 0
-        assert totals["peer-down"] == 2  # one per side
-        assert totals["epoch-bump"] == 2
-        assert totals["fault-injected"] == 1
-        assert totals["fault-cleared"] == 1
-        # Heartbeats are counted but never logged as events.
-        assert all(kind not in ("heartbeat-sent", "heartbeat-received")
-                   for _time, kind, _payload in collector.events)
-        first = collector.first_event("fault-injected")
-        assert first is not None and first[0] == BLACKOUT.start
-
-    def test_downtime_clipped_to_horizon(self):
-        testbed, collector = traced_chaos_testbed()
-        testbed.run(ms(800))  # still inside the blackout, peers DOWN
-        for side in ("ixp", "x86"):
-            down = collector.downtime(side)
-            assert 0 < down <= ms(800)
