@@ -53,6 +53,8 @@ class ChaosArmResult:
 
     blackout_ms: float
     seed: int
+    #: Kernel events the run processed.
+    events: int
     #: island -> time from blackout start until its detector left UP.
     detection_ms: dict[str, float] = field(default_factory=dict)
     #: Time from blackout start to the first baseline revert in the audit.
@@ -197,6 +199,7 @@ def run_chaos_arm(blackout: int, seed: int = 1) -> ChaosArmResult:
     return ChaosArmResult(
         blackout_ms=blackout / 1e6,
         seed=seed,
+        events=sim.events,
         detection_ms=detection_ms,
         fallback_ms=-1.0 if fallback_at is None else (fallback_at - FAULT_START) / 1e6,
         recovery_ms=recovery_ms,

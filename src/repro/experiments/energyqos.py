@@ -123,6 +123,8 @@ class EnergyQosArmResult:
     final_speed: float
     actuations: dict[str, int]
     governor: dict[str, int]
+    #: Kernel events the run processed.
+    events: int
 
 
 @dataclass
@@ -206,6 +208,7 @@ def run_energy_qos_arm(
         final_speed=testbed.x86.scheduler.cpus[0].speed,
         actuations=collector.actuation_counts(testbed.x86.knobs),
         governor=governor.stats(),
+        events=testbed.sim.events,
     )
 
 

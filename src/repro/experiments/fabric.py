@@ -153,6 +153,8 @@ class FabricArmResult:
     convergence_ms: float | None
     #: Dead-lettered frames across the mesh (0 expected at 0% loss).
     dead_letters: int
+    #: Kernel events the run processed.
+    events: int
 
 
 def _topology(arm: str, names: tuple[str, ...]) -> FabricTopology:
@@ -274,6 +276,7 @@ def run_fabric_arm(
         total_messages=sum(node_messages.values()),
         convergence_ms=convergence,
         dead_letters=mesh.dead_letters(),
+        events=sim.events,
     )
 
 

@@ -456,14 +456,7 @@ def _merge_shard_results(shard_results: list, counters: dict) -> dict:
     merged: dict[str, Any] = {
         "islands": {}, "clusters": {}, "root": None,
         "spare_registered_at": None,
-        # The supervision.* keys describe the harness (journal volume,
-        # recovery events) and legitimately differ across shard layouts;
-        # only the simulation-side counters belong in the artefact.
-        "boundary": {
-            key: value
-            for key, value in counters.items()
-            if not key.startswith("supervision.")
-        },
+        "boundary": dict(counters),
     }
     for entry in shard_results:
         merged["islands"].update(entry["islands"])

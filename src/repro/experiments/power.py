@@ -37,6 +37,8 @@ class PowerCapArmResult:
     mean_power_w: float
     peak_power_w: float
     final_speed: float
+    #: Kernel events the run processed.
+    events: int
     reports_received: int = 0
 
 
@@ -96,6 +98,7 @@ def run_power_cap_arm(
         mean_power_w=meter.mean_total_w(skip_first=5),
         peak_power_w=meter.peak_total_w(),
         final_speed=testbed.x86.scheduler.cpus[0].speed,
+        events=testbed.sim.events,
         reports_received=(
             governor.reports_received
             if isinstance(governor, CoordinatedPowerCapGovernor)

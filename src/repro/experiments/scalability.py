@@ -53,6 +53,8 @@ class ScalabilityArmResult:
     hub_messages: int
     max_cell_messages: int
     total_messages: int
+    #: Kernel events the run processed.
+    events: int
 
 
 def _build_cells(sim: Simulator, count: int) -> list[ProbeCell]:
@@ -151,6 +153,7 @@ def run_scalability_arm(arm: str, num_cells: int, duration: int = seconds(12)) -
         hub_messages=hub_messages,
         max_cell_messages=max(per_cell_messages.values()) if arm != "none" else 0,
         total_messages=sum(per_cell_messages.values()),
+        events=sim.events,
     )
 
 

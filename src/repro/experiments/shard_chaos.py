@@ -16,14 +16,13 @@ reference:
 * **hang** — one worker falls silent at a barrier; the deadline fires,
   the worker is killed and recovered the same way;
 * **exhaust** — the fault fires on every respawn too, spending the
-  budget; the whole run degrades to the inline engine, rebuilt from the
-  journal.
+  budget; the whole run reruns inline from window 0.
 
 Reported per row: engine, respawn/crash/hang counts, replayed windows,
-recovery wall time, and total wall time next to the clean baseline (the
-honest cost of self-healing). Simulation metrics never include any of
-these — the ``supervision.*`` counters describe the harness, not the
-fabric.
+recovery wall time (for ``exhaust``, the inline rerun's), and total
+wall time next to the clean baseline (the honest cost of self-healing).
+All of these come from ``ShardRunResult.supervision``, the harness
+record; simulation metrics never include them.
 """
 
 from __future__ import annotations
@@ -91,7 +90,8 @@ class ShardChaosArmResult:
     respawns: int
     replayed_windows: int
     degraded: int
-    #: Wall time spent inside recovery (kill -> caught up / replayed).
+    #: Wall time spent inside recovery (kill -> caught up, or the
+    #: inline rerun).
     recovery_seconds: float
     wall_seconds: float
     #: Run survived every scripted fault bit-identical to the reference
@@ -128,11 +128,11 @@ def run_shard_chaos_arm(
         shards=plan.shards,
         engine=run.engine,
         windows=run.windows,
-        crashes=run.counters["supervision.crashes"],
-        hangs=run.counters["supervision.hangs"],
-        respawns=run.counters["supervision.respawns"],
-        replayed_windows=run.counters["supervision.replayed_windows"],
-        degraded=run.counters["supervision.degraded_inline"],
+        crashes=run.supervision["crashes"],
+        hangs=run.supervision["hangs"],
+        respawns=run.supervision["respawns"],
+        replayed_windows=run.supervision["replayed_windows"],
+        degraded=run.supervision["degraded_inline"],
         recovery_seconds=run.supervision["recovery_seconds"],
         wall_seconds=run.wall_seconds,
         bit_identical=True,

@@ -35,6 +35,8 @@ class TraceRunResult:
     spans_minted: int
     #: Fraction of applied coordination messages a decision span explains.
     link_fraction: float
+    #: Kernel events the run processed.
+    events: int
     #: The observatory's control-loop introspection blob.
     report: dict[str, Any] = field(default_factory=dict)
 
@@ -79,6 +81,7 @@ def run_traced_rubis(
         loops_coalesced=stats.coalesced_applied,
         spans_minted=stats.minted,
         link_fraction=collector.link_fraction(applied),
+        events=testbed.sim.events,
         report=collector.report(),
     )
 

@@ -23,7 +23,6 @@ from .shardpipe import (
     FramedConnection,
     ShardFrame,
     ShardProtocolError,
-    ShardTimeoutError,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "HEARTBEAT",
     "ShardFrame",
     "ShardProtocolError",
-    "ShardTimeoutError",
     "ChannelEndpoint",
     "CoordinationChannel",
     "DataFrame",

@@ -10,15 +10,11 @@ idiom in its cheapest form: every frame is sequence-numbered like a
 kind is a protocol bug in the coordinator/worker state machines and is
 raised immediately instead of retransmitted around.
 
-Two liveness features serve the supervision layer
-(:mod:`repro.shard.supervisor`):
-
-* :meth:`FramedConnection.send` is thread-safe (one lock per endpoint),
-  so a worker's heartbeat thread can prove the process alive with
-  ``HEARTBEAT`` frames while the main thread simulates a window;
-* :meth:`FramedConnection.recv` accepts a wall-clock ``timeout`` and
-  raises :class:`ShardTimeoutError` instead of blocking forever on a
-  hung peer — the primitive barrier deadlines are built from.
+:meth:`FramedConnection.send` is thread-safe (one lock per endpoint),
+so a worker's heartbeat thread can prove the process alive with
+``HEARTBEAT`` frames while the main thread simulates a window. The
+supervision layer (:mod:`repro.shard.supervisor`) builds its barrier
+deadlines and liveness probe from :meth:`FramedConnection.poll`.
 
 Determinism note: frames carry only picklable simulation *data* (times,
 message batches, metric payloads), never live simulator objects, so what
@@ -36,10 +32,6 @@ from typing import Any, Optional, Sequence
 
 class ShardProtocolError(RuntimeError):
     """A frame violated the inter-shard protocol (gap, reorder, bad kind)."""
-
-
-class ShardTimeoutError(TimeoutError):
-    """No frame arrived within the recv deadline (peer hung or wedged)."""
 
 
 #: Frame kind workers emit from their liveness thread; consumes sequence
@@ -92,22 +84,9 @@ class FramedConnection:
             self._conn.send(frame)
         return frame
 
-    def recv(
-        self,
-        expect: Optional[Sequence[str]] = None,
-        timeout: Optional[float] = None,
-    ) -> ShardFrame:
-        """Receive the next frame, validating seq contiguity (and, when
-        ``expect`` is given, the frame kind).
-
-        Blocks until a frame is available, or — with ``timeout`` (wall
-        seconds) — raises :class:`ShardTimeoutError` once the deadline
-        passes with nothing on the pipe.
-        """
-        if timeout is not None and not self._conn.poll(timeout):
-            raise ShardTimeoutError(
-                f"no frame within {timeout:.3f}s (awaiting seq {self._rx_seq})"
-            )
+    def recv(self, expect: Optional[Sequence[str]] = None) -> ShardFrame:
+        """Receive the next frame (blocking), validating seq contiguity
+        (and, when ``expect`` is given, the frame kind)."""
         frame = self._conn.recv()
         if not isinstance(frame, ShardFrame):
             raise ShardProtocolError(f"expected a ShardFrame, got {frame!r}")

@@ -4,7 +4,6 @@ and the paper's platform-efficiency metric."""
 from .breakdown import RX_PATH_STAGES, LatencyBreakdown, StageStats
 from .collector import (
     CpuUtilizationSampler,
-    TimePoint,
     UtilizationSample,
     WindowedCounter,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "RunInterval",
     "SchedulingTimeline",
     "Summary",
-    "TimePoint",
     "UtilizationSample",
     "WindowedCounter",
     "percentile",

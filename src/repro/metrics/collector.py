@@ -8,13 +8,8 @@ from typing import Optional
 from ..sim import NS_PER_S, PeriodicTask, Simulator, seconds
 from ..x86.vm import VirtualMachine
 
-
-@dataclass
-class TimePoint:
-    """One sample of a windowed time series."""
-
-    time: int
-    value: float
+#: Bucket width of :class:`WindowedCounter` (one second).
+_BUCKET = seconds(1)
 
 
 @dataclass
@@ -79,16 +74,15 @@ class CpuUtilizationSampler:
 
 @dataclass
 class WindowedCounter:
-    """Counts events into fixed windows (throughput series)."""
+    """Counts events into one-second buckets (throughput)."""
 
     sim: Simulator
-    window: int = seconds(1)
     total: int = 0
     _counts: dict[int, int] = field(default_factory=dict)
 
     def record(self, count: int = 1) -> None:
         """Count ``count`` events at the current time."""
-        bucket = self.sim.now // self.window
+        bucket = self.sim.now // _BUCKET
         self._counts[bucket] = self._counts.get(bucket, 0) + count
         self.total += count
 
@@ -104,8 +98,8 @@ class WindowedCounter:
         """
         if not self._counts:
             return 0.0
-        first_bucket = min(self._counts) if start is None else start // self.window
-        last_bucket = max(self._counts) + 1 if end is None else -(-end // self.window)
+        first_bucket = min(self._counts) if start is None else start // _BUCKET
+        last_bucket = max(self._counts) + 1 if end is None else -(-end // _BUCKET)
         if last_bucket <= first_bucket:
             return 0.0
         counted = sum(
@@ -113,12 +107,5 @@ class WindowedCounter:
             for bucket, c in self._counts.items()
             if first_bucket <= bucket < last_bucket
         )
-        span = (last_bucket - first_bucket) * self.window
+        span = (last_bucket - first_bucket) * _BUCKET
         return counted * NS_PER_S / span
-
-    def series(self) -> list[TimePoint]:
-        """Per-window counts, ascending by time."""
-        return [
-            TimePoint(time=bucket * self.window, value=float(count))
-            for bucket, count in sorted(self._counts.items())
-        ]

@@ -23,10 +23,12 @@ dragging the other in. The environment contract:
 A failure of the pool itself — unpicklable arguments, a broken worker, a
 sandbox refusing to fork — falls back to re-running the batch serially,
 with the reason logged once per distinct cause (logger
-``repro.parallel``). Determinism is untouched by construction: a job's
-result depends only on its callable and arguments, never on which
-process executed it — asserted by ``tests/experiments/test_runner.py``,
-which compares serial and parallel results bit-for-bit.
+``repro.parallel``; the shard coordinator reports its inline fallbacks
+through the same :func:`log_fallback`). Determinism is untouched by
+construction: a job's result depends only on its callable and
+arguments, never on which process executed it — asserted by
+``tests/experiments/test_runner.py``, which compares serial and
+parallel results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ WORKERS_ENV = "REPRO_WORKERS"
 _IN_WORKER_ENV = "_REPRO_IN_WORKER"
 
 _log = logging.getLogger(__name__)
-#: Pool-failure causes already reported; each distinct cause logs once.
+#: Fallback causes already reported; each distinct cause logs once.
 _logged_fallbacks: set[str] = set()
 
 
@@ -114,10 +116,11 @@ def mark_worker() -> None:
 
 
 def log_fallback(cause: str) -> None:
-    """Report a pool-failure serial fallback, once per distinct cause."""
+    """Report a fallback from worker processes to serial execution in
+    this process, once per distinct cause."""
     if cause not in _logged_fallbacks:
         _logged_fallbacks.add(cause)
-        _log.warning("worker pool unavailable (%s); running jobs serially", cause)
+        _log.warning("worker processes unavailable (%s); running serially", cause)
 
 
 @dataclass(frozen=True)

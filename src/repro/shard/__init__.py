@@ -5,18 +5,18 @@ only facts a conservative PDES needs: clusters are coordination domains
 (their islands share local state), and cross-cluster links carry a
 declared one-way latency. :class:`ShardPlan` cuts the fabric at cluster
 boundaries into shards; the minimum cross-cluster link latency is the
-*lookahead* — a message sent during the window ``[T, T+W)`` (with ``W``
-at most the lookahead) cannot be due before ``T+W``, so every shard may
-advance its own :class:`~repro.sim.Simulator` through the whole window
-without ever hearing from another shard's past.
+*lookahead* and the window width — a message sent during the window
+``[T, T+W)`` cannot be due before ``T+W``, so every shard may advance
+its own :class:`~repro.sim.Simulator` through the whole window without
+ever hearing from another shard's past.
 
 The pieces:
 
-* :class:`ShardPlan` — the deterministic cut: cluster groups, lookahead,
-  window width. Depends only on topology + shard count, never on worker
+* :class:`ShardPlan` — the deterministic cut: cluster groups and
+  lookahead. Depends only on topology + shard count, never on worker
   placement.
 * :class:`ShardConfig` — the supervision knobs: barrier deadline,
-  heartbeat/probe intervals, respawn budget, journal bound.
+  heartbeat/probe intervals, respawn budget.
 * :class:`BoundaryRouter` / :class:`BoundaryMessage` — the *only* path
   cross-cluster control traffic takes, in every execution mode. Messages
   are stamped ``(deliver_at, dst, src, seq)`` and applied in exactly
@@ -28,18 +28,21 @@ The pieces:
   boundaries unchanged.
 * :class:`ShardHost` — one shard's simulator + router + world, advanced
   window by window.
-* :class:`WindowJournal` — the bounded per-run journal of every window
-  grant and routed inbound batch: the complete deterministic input of
-  any shard, and therefore the recovery substrate.
+* :class:`WindowJournal` — the supervised engine's bounded journal of
+  every window grant and routed inbound batch: the complete
+  deterministic input of any shard, and therefore the recovery
+  substrate.
 * :class:`SupervisedEngine` / :class:`SupervisionLog` /
   :class:`FaultScript` — the self-healing process engine: barrier
   deadlines, heartbeat liveness probes, kill/respawn with backoff under
-  a budget, fast-forward by journal replay, and whole-run degradation to
-  the inline engine when recovery is out of moves.
-* :func:`run_sharded` — the coordinator: journals and grants windows,
-  barriers, routes boundary batches; runs shards inline (one process)
-  or under supervised worker processes, with *bit-identical* results
-  either way — even across worker crashes, hangs and degradations.
+  a budget and fast-forward by journal replay. When recovery is out of
+  moves the run reruns inline from window 0.
+* :func:`run_sharded` — the coordinator: grants windows, barriers,
+  routes boundary batches; runs shards inline (one process) or under
+  supervised worker processes, with *bit-identical* results either way
+  — even across worker crashes, hangs and degradations.
+  ``ShardRunResult.counters`` holds the routers' counts, and
+  ``ShardRunResult.supervision`` the harness record.
 """
 
 from .config import ShardConfig
@@ -60,12 +63,7 @@ from .supervisor import (
     SupervisionLog,
 )
 from .worker import BUILD_WINDOW, FINISH_WINDOW
-from .runtime import (
-    DegradationLog,
-    ShardRunResult,
-    reset_degradation_warnings,
-    run_sharded,
-)
+from .runtime import ShardRunResult, run_sharded
 
 __all__ = [
     "BUILD_WINDOW",
@@ -73,7 +71,6 @@ __all__ = [
     "BoundaryMessage",
     "BoundaryRouter",
     "BoundaryRoutingError",
-    "DegradationLog",
     "FINISH_WINDOW",
     "FaultScript",
     "ShardConfig",
@@ -86,6 +83,5 @@ __all__ = [
     "SupervisionExhausted",
     "SupervisionLog",
     "WindowJournal",
-    "reset_degradation_warnings",
     "run_sharded",
 ]

@@ -4,8 +4,10 @@ A shard's trajectory is a pure function of ``(topology, build,
 build_args)`` plus the sequence of window grants and the routed inbound
 boundary batches it received — that is the *entire* input surface of a
 shard (the same argument that makes ``shards=N`` bit-identical to
-``shards=1``). The coordinator therefore journals exactly that, window
-by window: ``(window index, until, one routed batch per shard)``.
+``shards=1``). The supervised engine
+(:class:`~repro.shard.supervisor.SupervisedEngine`) therefore journals
+exactly that, window by window, before granting it: ``(window index,
+until, one routed batch per shard)``. Inline runs keep no journal.
 
 When a worker crashes or hangs, the supervisor rebuilds its world from
 ``(build, build_args)`` and fast-forwards it by replaying the journal —
@@ -15,14 +17,12 @@ never-crashed one, because nothing else ever influenced it.
 
 The journal is bounded (``limit`` windows, evicting oldest). Once an
 entry has been evicted the journal is *truncated*: per-shard replay
-from birth is impossible, and recovery falls back to recomputing the
-whole run inline from scratch — still deterministic, just without the
-shortcut of skipping the routing step.
+from birth is impossible, recovery gives up, and the coordinator reruns
+the whole run inline from window 0 — still deterministic.
 
 Entries hold references to the routed batch lists the coordinator
-already built; nothing copies and nothing mutates them (hosts ``extend``
-their inboxes from a batch, workers receive pickled copies), so
-journaling a clean run costs one tuple per window.
+already built; nothing copies and nothing mutates them (workers receive
+pickled copies), so journaling a clean run costs one tuple per window.
 """
 
 from __future__ import annotations
@@ -97,19 +97,13 @@ class WindowJournal:
     # -- replay ---------------------------------------------------------------
 
     def replay(
-        self, shard: Optional[int] = None, upto: Optional[int] = None
-    ) -> Iterator[tuple[int, int, list]]:
+        self, shard: int, upto: int
+    ) -> Iterator[tuple[int, int, list[BoundaryMessage]]]:
         """Yield ``(index, until, batch)`` for journaled windows below
-        ``upto`` (default: all), in order.
-
-        With ``shard`` given, ``batch`` is that shard's routed inbound
-        batch; with ``shard=None`` it is the full per-shard batch list
-        (the inline-degradation replay). Raises :class:`ValueError` when
-        the requested range reaches behind the retained window set — the
-        caller must fall back to recomputing from scratch.
+        ``upto``, in order, where ``batch`` is ``shard``'s routed inbound
+        batch. Raises :class:`ValueError` when the requested range
+        reaches behind the retained window set.
         """
-        if upto is None:
-            upto = self.windows_recorded
         if upto == 0:
             return
         if not self._entries or self._entries[0][0] != 0:
@@ -120,16 +114,7 @@ class WindowJournal:
         for index, until, batches in self._entries:
             if index >= upto:
                 break
-            yield index, until, batches if shard is None else batches[shard]
-
-    def counters(self) -> dict[str, int]:
-        """Deterministic journal accounting (engine-independent: the
-        coordinator journals identically under every engine)."""
-        return {
-            "supervision.journal_windows": self.windows_recorded,
-            "supervision.journal_messages": self.messages_recorded,
-            "supervision.journal_evicted": self.evicted,
-        }
+            yield index, until, batches[shard]
 
     def __repr__(self) -> str:
         return (

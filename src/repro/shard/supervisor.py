@@ -1,35 +1,34 @@
 """Supervision for shard workers: deadlines, respawn, replay recovery.
 
 :class:`SupervisedEngine` is the process engine of
-:func:`~repro.shard.runtime.run_sharded`, wrapped in the reflective
-supervise-and-recover loop the coordinator itself was missing: every
-frame awaited from a worker carries a wall-clock deadline (the
-per-window barrier budget of
+:func:`~repro.shard.runtime.run_sharded`, wrapped in a supervise-and-
+recover loop: every frame awaited from a worker carries a wall-clock
+deadline (the per-window barrier budget of
 :attr:`~repro.shard.config.ShardConfig.barrier_timeout_s`), every worker
 proves liveness with heartbeat frames from a side thread, and a worker
 that crashes (pipe EOF, process exit) or hangs (deadline or probe
 expiry) is killed, respawned with exponential backoff under the run's
 respawn budget, rebuilt from ``(build, build_args)`` and fast-forwarded
-by replaying the :class:`~repro.shard.journal.WindowJournal` — the
-reborn shard is bit-identical to a never-crashed one because the journal
-is its complete input.
+by replaying the engine's :class:`~repro.shard.journal.WindowJournal` —
+the reborn shard is bit-identical to a never-crashed one because the
+journal is its complete input. The engine journals each window in
+:meth:`SupervisedEngine.step`, before granting it, and keeps the last
+:data:`JOURNAL_LIMIT` windows.
 
 Two failure classes are deliberately *not* respawned around:
 
 * an ``error`` frame (a Python exception inside the worker) is
   deterministic — replay would reproduce it — so it re-raises as
-  :class:`ShardWorkerError` exactly as before supervision existed;
+  :class:`ShardWorkerError`;
 * exhausting the respawn budget (or needing a replay the truncated
   journal cannot serve) raises :class:`SupervisionExhausted`, which the
-  coordinator catches to degrade the *whole run* to the inline engine —
-  rebuilt from the journal — instead of failing a multi-hour sweep.
+  coordinator catches to rerun the *whole run* inline from window 0
+  instead of failing a multi-hour sweep.
 
-Recovery events are counted (``supervision.*`` keys in
-``ShardRunResult.counters``) and logged into a :class:`SupervisionLog`,
-the harness-side counterpart of the simulated
-:class:`~repro.faults.FailureDetector`'s transition timeline:
-wall-clock-stamped events, per-kind counts, per-shard timelines and the
-total recovery wall time.
+Recovery events are logged into a :class:`SupervisionLog`, the
+harness-side counterpart of the simulated
+:class:`~repro.faults.FailureDetector`'s transition timeline; its
+:meth:`~SupervisionLog.summary` is ``ShardRunResult.supervision``.
 """
 
 from __future__ import annotations
@@ -55,6 +54,12 @@ from .worker import shard_worker_main
 _POLL_SLICE_S = 0.05
 #: Hard cap on one exponential-backoff sleep before a respawn.
 _MAX_BACKOFF_S = 2.0
+#: Exit code of a scripted kill (diagnostic only).
+_KILL_EXIT_CODE = 43
+#: Windows the recovery journal retains. Once older windows are evicted
+#: a reborn worker cannot be replayed from window 0, and recovery gives
+#: up (the run reruns inline).
+JOURNAL_LIMIT = 8192
 
 
 class ShardWorkerError(RuntimeError):
@@ -63,7 +68,7 @@ class ShardWorkerError(RuntimeError):
 
 class SupervisionExhausted(RuntimeError):
     """Recovery is out of moves (budget spent, or journal truncated);
-    the coordinator should degrade the run to the inline engine."""
+    the coordinator reruns the run inline from window 0."""
 
 
 class _WorkerFailure(Exception):
@@ -97,8 +102,6 @@ class FaultScript:
     hangs: tuple[tuple[int, int, float], ...] = ()
     #: Fire on every respawn attempt, not just the first life.
     persistent: bool = False
-    #: Exit code used for kills (diagnostic only).
-    exit_code: int = 43
 
     def __call__(self, shard: int, window: int, attempt: int) -> None:
         if attempt > 0 and not self.persistent:
@@ -107,11 +110,11 @@ class FaultScript:
             if (hang_shard, hang_window) == (shard, window):
                 time.sleep(sleep_s)
         if (shard, window) in self.kills:
-            os._exit(self.exit_code)
+            os._exit(_KILL_EXIT_CODE)
 
 
 class SupervisionLog:
-    """Wall-clock event log + counters for harness recovery events.
+    """Wall-clock event log of one sharded run's harness.
 
     The harness-side counterpart of
     :attr:`~repro.faults.FailureDetector.transitions`: a detector watches
@@ -119,7 +122,7 @@ class SupervisionLog:
     simulation. Event kinds:
     ``worker-crash``, ``worker-hang``, ``worker-respawned``,
     ``finish-timeout``, ``journal-truncated``, ``degraded-inline``,
-    ``inline-replay``.
+    ``inline-rerun``.
     """
 
     def __init__(self) -> None:
@@ -132,27 +135,12 @@ class SupervisionLog:
         self.heartbeats = 0
         #: Windows re-granted to respawned workers (journal fast-forward).
         self.replayed_windows = 0
+        #: The supervised engine's journal; None when no worker started.
+        self.journal: Optional[WindowJournal] = None
 
     def note(self, kind: str, **payload: Any) -> None:
         self.counts[kind] += 1
         self.events.append((time.monotonic() - self._t0, kind, payload))
-
-    # -- derived summaries ----------------------------------------------------
-
-    def timeline(self, shard: int) -> list[tuple[float, str]]:
-        """Recovery events touching ``shard``, as (wall-offset, kind)."""
-        return [
-            (when, kind)
-            for when, kind, payload in self.events
-            if payload.get("shard") == shard
-        ]
-
-    def first_event(self, kind: str) -> Optional[tuple[float, dict]]:
-        """Earliest event of ``kind``, or None."""
-        for when, event_kind, payload in self.events:
-            if event_kind == kind:
-                return when, payload
-        return None
 
     @property
     def recovery_seconds(self) -> float:
@@ -160,41 +148,39 @@ class SupervisionLog:
         return sum(
             payload.get("wall_s", 0.0)
             for _when, kind, payload in self.events
-            if kind in ("worker-respawned", "inline-replay")
+            if kind in ("worker-respawned", "inline-rerun")
         )
 
-    def totals(self) -> dict[str, int]:
-        """Cumulative count per observed kind, sorted by kind."""
-        return dict(sorted(self.counts.items()))
-
-    def counters(self) -> dict[str, int]:
-        """The stable ``supervision.*`` counter set merged into
-        ``ShardRunResult.counters`` (all keys always present, so clean
-        runs compare equal across engines)."""
-        return {
-            "supervision.crashes": self.counts["worker-crash"],
-            "supervision.hangs": self.counts["worker-hang"],
-            "supervision.respawns": self.counts["worker-respawned"],
-            "supervision.replayed_windows": self.replayed_windows,
-            "supervision.finish_timeouts": self.counts["finish-timeout"],
-            "supervision.degraded_inline": self.counts["degraded-inline"],
-        }
-
     def summary(self) -> dict[str, Any]:
-        """One picklable report: counts, events, recovery wall time."""
+        """One picklable report. The count keys are always present, so a
+        clean run reads zero recovery under every engine."""
+        journal = self.journal
         return {
-            "totals": self.totals(),
+            "crashes": self.counts["worker-crash"],
+            "hangs": self.counts["worker-hang"],
+            "respawns": self.counts["worker-respawned"],
+            "replayed_windows": self.replayed_windows,
+            "finish_timeouts": self.counts["finish-timeout"],
+            "degraded_inline": self.counts["degraded-inline"],
+            "journal_windows": 0 if journal is None else journal.windows_recorded,
+            "journal_messages": 0 if journal is None else journal.messages_recorded,
+            "journal_evicted": 0 if journal is None else journal.evicted,
+            "heartbeats": self.heartbeats,
+            "recovery_seconds": self.recovery_seconds,
+            "degradations": [
+                payload["cause"]
+                for _when, kind, payload in self.events
+                if kind == "degraded-inline"
+            ],
+            "totals": dict(sorted(self.counts.items())),
             "events": [
                 (round(when, 6), kind, dict(payload))
                 for when, kind, payload in self.events
             ],
-            "heartbeats": self.heartbeats,
-            "replayed_windows": self.replayed_windows,
-            "recovery_seconds": self.recovery_seconds,
         }
 
     def __repr__(self) -> str:
-        return f"<SupervisionLog events={len(self.events)} {self.totals()}>"
+        return f"<SupervisionLog events={len(self.events)} {dict(self.counts)}>"
 
 
 class _WorkerHandle:
@@ -231,25 +217,18 @@ class SupervisedEngine:
         plan: ShardPlan,
         build,
         build_args: tuple,
-        *,
-        config: Optional[ShardConfig] = None,
-        journal: Optional[WindowJournal] = None,
-        log: Optional[SupervisionLog] = None,
-        fault_hook=None,
+        config: ShardConfig,
+        log: SupervisionLog,
+        fault_hook,
     ):
         self.plan = plan
         self.build = build
         self.build_args = build_args
-        self.config = config if config is not None else ShardConfig()
-        # ``is None``, not ``or``: an empty WindowJournal is falsy (len 0)
-        # and a bare ``or`` would silently shadow the coordinator's journal.
-        self.journal = (
-            journal
-            if journal is not None
-            else WindowJournal(plan.shards, limit=self.config.journal_limit)
-        )
-        self.log = log if log is not None else SupervisionLog()
+        self.config = config
+        self.log = log
         self.fault_hook = fault_hook
+        #: Every window's grant and routed batches: a reborn worker's input.
+        self.journal = log.journal = WindowJournal(plan.shards, limit=JOURNAL_LIMIT)
         self.respawns_spent = 0
         #: Completed (barriered) windows — the replay horizon.
         self.windows = 0
@@ -283,13 +262,10 @@ class SupervisedEngine:
 
     def _until_ready(self, index: int) -> None:
         """Await the ready frame, recovering build-time crashes/hangs."""
-        while True:
-            try:
-                self._await(self.workers[index], ("ready",))
-                return
-            except _WorkerFailure as failure:
-                self._recover(failure, regrant=None)
-                return  # _recover already awaited ready + replayed
+        try:
+            self._await(self.workers[index], ("ready",))
+        except _WorkerFailure as failure:
+            self._recover(failure, regrant=None)  # awaits ready itself
 
     def _await(self, handle: _WorkerHandle, kinds: tuple) -> Any:
         """The supervised recv: skip heartbeats, enforce the barrier
@@ -299,24 +275,16 @@ class SupervisedEngine:
         :class:`ShardWorkerError` on a deterministic error frame.
         """
         barrier = self.config.barrier_timeout_s
-        # Without heartbeats a busy worker is legitimately silent for a
-        # whole window, so the probe only applies when they are on.
-        probe = (
-            self.config.probe_timeout_s
-            if self.config.heartbeat_interval_s > 0 else None
-        )
-        deadline = None if barrier is None else time.monotonic() + barrier
+        probe = self.config.probe_timeout_s
+        deadline = time.monotonic() + barrier
         while True:
             now = time.monotonic()
-            if deadline is not None and now >= deadline:
+            if now >= deadline:
                 raise _WorkerFailure(
                     handle.index, "hang",
                     f"no {kinds} frame within the {barrier:.1f}s barrier deadline",
                 )
-            slice_s = _POLL_SLICE_S
-            if deadline is not None:
-                slice_s = min(slice_s, max(0.0, deadline - now))
-            if handle.link.poll(slice_s):
+            if handle.link.poll(min(_POLL_SLICE_S, deadline - now)):
                 try:
                     frame = handle.link.recv()
                 except (EOFError, OSError) as exc:
@@ -343,7 +311,7 @@ class SupervisedEngine:
                     handle.index, "crash",
                     f"worker exited with code {handle.proc.exitcode}",
                 )
-            if probe is not None and time.monotonic() - handle.last_frame > probe:
+            if time.monotonic() - handle.last_frame > probe:
                 raise _WorkerFailure(
                     handle.index, "hang",
                     f"no frames (not even heartbeats) for {probe:.1f}s",
@@ -426,14 +394,14 @@ class SupervisedEngine:
     # -- the engine contract --------------------------------------------------
 
     def step(self, until: int, batches: list) -> list:
-        granted = [False] * self.plan.shards
+        # Journal before granting, so the journal always covers the
+        # window a failure interrupts.
+        self.journal.record(self.windows, until, batches)
         for handle, batch in zip(self.workers, batches):
             try:
                 self._send(handle, "grant", (until, batch))
-                granted[handle.index] = True
             except _WorkerFailure as failure:
                 self._recover(failure, regrant=(until, batches[failure.index]))
-                granted[failure.index] = True
         outbound: list = [None] * self.plan.shards
         for index in range(self.plan.shards):
             while True:
@@ -459,9 +427,8 @@ class SupervisedEngine:
                     self._recover(failure, regrant=None)
         # Result in hand, the worker must actually exit: a still-alive
         # process after the grace period is detected, counted and killed
-        # instead of being silently accepted (it used to leak).
-        grace = self.config.barrier_timeout_s
-        grace = 30.0 if grace is None else min(30.0, grace)
+        # instead of being silently accepted.
+        grace = min(30.0, self.config.barrier_timeout_s)
         for index, handle in enumerate(self.workers):
             handle.proc.join(timeout=grace)
             if handle.proc.is_alive():

@@ -18,7 +18,7 @@ coordinator side lives in :mod:`repro.shard.supervisor`):
   the main thread simulates a window.
 
 A respawned worker is indistinguishable from a first-born one on the
-wire: the coordinator replays its journaled grants in order and the
+wire: the supervisor replays its journaled grants in order and the
 worker, being a pure function of its grants, walks back into the exact
 state the dead one held. ``attempt`` (0 for the first spawn, +1 per
 respawn) exists solely for the fault hook, so scripted chaos can fire
@@ -75,9 +75,9 @@ def shard_worker_main(
     shard_index: int,
     build,
     build_args: tuple,
-    attempt: int = 0,
-    heartbeat_interval: float = 0.0,
-    fault_hook: Optional[FaultHook] = None,
+    attempt: int,
+    heartbeat_interval: float,
+    fault_hook: Optional[FaultHook],
 ) -> None:
     """Entry point of one shard worker process."""
     mark_worker()
@@ -87,13 +87,12 @@ def shard_worker_main(
         if fault_hook is not None:
             fault_hook(shard_index, BUILD_WINDOW, attempt)
         host = ShardHost(plan, shard_index, build, build_args=build_args)
-        if heartbeat_interval > 0:
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(link, heartbeat_interval, stop_heartbeats),
-                name=f"shard-{shard_index}-heartbeat",
-                daemon=True,
-            ).start()
+        threading.Thread(
+            target=_heartbeat_loop,
+            args=(link, heartbeat_interval, stop_heartbeats),
+            name=f"shard-{shard_index}-heartbeat",
+            daemon=True,
+        ).start()
         link.send("ready")
         window = 0
         while True:

@@ -79,6 +79,7 @@ class TestRenderer:
             actuations={"dvfs-level": 1, "llc-ways": 2, "bw-share": 0,
                         "prefetch-throttle": 1},
             governor={},
+            events=0,
         )
 
     def test_renderer_lists_all_modes_and_targets(self):

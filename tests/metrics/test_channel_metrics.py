@@ -24,7 +24,7 @@ class TestWindowedCounterAlignment:
         included or excluded whole based on its *start* time, misattributing
         its events to a span that does not contain them all."""
         sim = Simulator()
-        counter = WindowedCounter(sim, window=seconds(1))
+        counter = WindowedCounter(sim)
 
         def emitter(sim):
             yield sim.timeout(ms(100))
@@ -42,7 +42,7 @@ class TestWindowedCounterAlignment:
 
     def test_unaligned_end_extends_to_bucket_boundary(self):
         sim = Simulator()
-        counter = WindowedCounter(sim, window=seconds(1))
+        counter = WindowedCounter(sim)
 
         def emitter(sim):
             yield sim.timeout(seconds(1) + ms(500))
@@ -57,7 +57,7 @@ class TestWindowedCounterAlignment:
 
     def test_aligned_queries_unchanged(self):
         sim = Simulator()
-        counter = WindowedCounter(sim, window=seconds(1))
+        counter = WindowedCounter(sim)
 
         def emitter(sim):
             for _ in range(4):

@@ -36,11 +36,9 @@ class TestRecording:
     def test_counters_track_windows_and_messages(self):
         journal = WindowJournal(2)
         record_windows(journal, 5)
-        assert journal.counters() == {
-            "supervision.journal_windows": 5,
-            "supervision.journal_messages": 5,
-            "supervision.journal_evicted": 0,
-        }
+        assert journal.windows_recorded == 5
+        assert journal.messages_recorded == 5
+        assert journal.evicted == 0
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="shards"):
@@ -68,38 +66,31 @@ class TestBounding:
 
 
 class TestReplay:
-    def test_full_replay_yields_every_window_in_order(self):
-        journal = WindowJournal(2)
-        record_windows(journal, 4)
-        entries = list(journal.replay())
-        assert [index for index, _, _ in entries] == [0, 1, 2, 3]
-        assert [until for _, until, _ in entries] == [10, 20, 30, 40]
-        # shard=None yields the full per-shard batch list.
-        assert all(len(batches) == 2 for _, _, batches in entries)
-
     def test_per_shard_replay_projects_one_batch(self):
         journal = WindowJournal(2)
         record_windows(journal, 4)
-        for index, _until, batch in journal.replay(shard=0):
+        entries = list(journal.replay(shard=0, upto=4))
+        assert [index for index, _, _ in entries] == [0, 1, 2, 3]
+        assert [until for _, until, _ in entries] == [10, 20, 30, 40]
+        for index, _until, batch in entries:
             expected = 1 if index % 2 == 0 else 0
             assert len(batch) == expected
 
     def test_upto_bounds_the_horizon(self):
         journal = WindowJournal(2)
         record_windows(journal, 6)
-        assert [i for i, _, _ in journal.replay(upto=3)] == [0, 1, 2]
-        assert list(journal.replay(upto=0)) == []
+        assert [i for i, _, _ in journal.replay(shard=0, upto=3)] == [0, 1, 2]
+        assert list(journal.replay(shard=0, upto=0)) == []
 
     def test_truncated_journal_refuses_replay(self):
         journal = WindowJournal(2, limit=2)
         record_windows(journal, 4)
         with pytest.raises(ValueError, match="truncated"):
-            list(journal.replay(shard=0))
+            list(journal.replay(shard=0, upto=4))
 
     def test_empty_journal_is_falsy_but_replays_nothing(self):
-        # Regression guard: an empty journal is falsy (len 0), which once
-        # made a bare ``journal or WindowJournal(...)`` shadow the live
-        # journal with a fresh one. Consumers must test ``is None``.
+        # An empty journal is falsy (len 0): code holding an optional
+        # journal must test ``is None``, not truthiness.
         journal = WindowJournal(2)
         assert not journal
-        assert list(journal.replay(upto=0)) == []
+        assert list(journal.replay(shard=0, upto=0)) == []

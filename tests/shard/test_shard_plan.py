@@ -1,4 +1,4 @@
-"""ShardPlan: deterministic cluster cuts, lookahead, window validation."""
+"""ShardPlan: deterministic cluster cuts and the lookahead window."""
 
 import pytest
 
@@ -49,15 +49,7 @@ class TestWindow:
         # ms(5) member links are intra-cluster and offer no lookahead.
         plan = ShardPlan(_topo(), shards=2)
         assert plan.lookahead == ms(10)
-        assert plan.window == ms(10)
-
-    def test_window_wider_than_lookahead_rejected(self):
-        with pytest.raises(ValueError, match="lookahead"):
-            ShardPlan(_topo(), shards=2, window_ns=ms(11))
-
-    def test_narrower_window_accepted(self):
-        plan = ShardPlan(_topo(), shards=2, window_ns=ms(2))
-        assert plan.window == ms(2)
+        assert plan.window_for(ms(100)) == ms(10)
 
     def test_disconnected_clusters_need_explicit_window(self):
         topo = FabricTopology(
@@ -78,16 +70,8 @@ class TestWindow:
         detached = FabricTopology(
             clusters=topo.clusters, connect_aggregators=False
         )
-        with pytest.raises(ValueError, match="explicit window_ns"):
-            ShardPlan(detached, shards=2)
-        assert ShardPlan(detached, shards=2, window_ns=ms(1)).window == ms(1)
-
-
-class TestBoundaryLinks:
-    def test_only_cross_shard_links_reported(self):
-        plan = ShardPlan(_topo(16, 4), shards=4)
-        for a, b, _latency in plan.boundary_links():
-            assert plan.shard_of(a) != plan.shard_of(b)
-
-    def test_single_shard_has_no_boundary_links(self):
-        assert ShardPlan(_topo(), shards=1).boundary_links() == []
+        # The shards never exchange a message: the run is one window.
+        plan = ShardPlan(detached, shards=2)
+        assert plan.shards == 2
+        assert plan.lookahead is None
+        assert plan.window_for(ms(100)) == ms(100)

@@ -9,6 +9,7 @@ import logging
 
 import pytest
 
+from repro import parallel
 from repro.platform import FabricTopology
 from repro.shard import (
     BoundaryRoutingError,
@@ -17,12 +18,18 @@ from repro.shard import (
     ShardPlan,
     ShardWorkerError,
     run_sharded,
+    runtime,
 )
-from repro.sim import PeriodicTask, ms, seconds
+from repro.sim import PeriodicTask, ms
 
 RING = 4
 PING_PERIOD = ms(7)
 DURATION = ms(500)
+#: The recovery counts of ``ShardRunResult.supervision``.
+RECOVERY_KEYS = (
+    "crashes", "hangs", "respawns", "replayed_windows",
+    "finish_timeouts", "degraded_inline",
+)
 
 
 def ring_topology(latency=ms(5)):
@@ -101,18 +108,42 @@ class TestBitEquality:
         assert merged(run) == merged(reference)
 
 
+class TestRunRecord:
+    """``counters`` is what the fabric did; ``supervision`` is the harness."""
+
+    def test_inline_run_counts_only_router_traffic(self):
+        plan = ShardPlan(ring_topology(), shards=1)
+        run = run_sharded(plan, build_ping_world, (9,), duration=DURATION)
+        assert run.engine == "inline"
+        assert set(run.counters) == {"sent", "dropped", "delivered"}
+        assert run.counters["sent"] > 0
+        for key in RECOVERY_KEYS:
+            assert run.supervision[key] == 0, key
+        # An inline run keeps no journal.
+        assert run.supervision["journal_windows"] == 0
+
+    def test_process_run_counts_only_router_traffic(self, monkeypatch):
+        monkeypatch.setenv(parallel.WORKERS_ENV, "2")
+        if not parallel.plan_execution(2).parallel:
+            pytest.skip("parallelism unavailable in this environment")
+        plan = ShardPlan(ring_topology(), shards=2)
+        run = run_sharded(plan, build_ping_world, (9,), duration=DURATION)
+        assert run.engine == "process"
+        assert set(run.counters) == {"sent", "dropped", "delivered"}
+        for key in RECOVERY_KEYS:
+            assert run.supervision[key] == 0, key
+        assert run.supervision["journal_windows"] == run.windows
+
+
 class TestDegradation:
     def test_disabled_parallelism_degrades_inline_and_logs_once(
         self, monkeypatch, caplog
     ):
-        from repro.parallel import PARALLEL_ENV, plan_execution
-        from repro.shard import reset_degradation_warnings
-
-        monkeypatch.setenv(PARALLEL_ENV, "0")
-        reset_degradation_warnings()
+        monkeypatch.setenv(parallel.PARALLEL_ENV, "0")
+        monkeypatch.setattr(parallel, "_logged_fallbacks", set())
         plan = ShardPlan(ring_topology(), shards=2)
-        expected_cause = plan_execution(plan.shards).reason
-        with caplog.at_level(logging.WARNING, logger="repro.shard.runtime"):
+        expected_cause = parallel.plan_execution(plan.shards).reason
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
             for _ in range(2):
                 run = run_sharded(
                     plan, build_ping_world, (9,), duration=ms(50)
@@ -121,8 +152,27 @@ class TestDegradation:
                 # Per-run state: every run records its own cause, even
                 # though only the first one warns.
                 assert run.supervision["degradations"] == [expected_cause]
-        notes = [r for r in caplog.records if "inline" in r.message]
+        notes = [r for r in caplog.records if expected_cause in r.message]
         assert len(notes) == 1
+
+    @pytest.mark.parametrize("cause", ["fork-refused", "parallel-off"])
+    def test_every_degradation_is_counted(self, monkeypatch, cause):
+        monkeypatch.setenv(parallel.WORKERS_ENV, "2")
+        if cause == "fork-refused":
+            def refuse(*args, **kwargs):
+                raise OSError("fork refused")
+
+            monkeypatch.setattr(runtime, "SupervisedEngine", refuse)
+        else:
+            monkeypatch.setenv(parallel.PARALLEL_ENV, "0")
+        plan = ShardPlan(ring_topology(), shards=2)
+        run = run_sharded(plan, build_ping_world, (9,), duration=ms(50))
+        assert run.engine == "inline"
+        assert run.supervision["degraded_inline"] == 1
+        assert len(run.supervision["degradations"]) == 1
+        # Nothing started, so nothing was rerun.
+        kinds = [kind for _, kind, _ in run.supervision["events"]]
+        assert kinds == ["degraded-inline"]
 
     def test_worker_world_crash_is_reraised(self, monkeypatch):
         from repro.parallel import WORKERS_ENV, plan_execution

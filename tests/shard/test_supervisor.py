@@ -4,8 +4,8 @@ Each scripted fault (kill mid-window, kill during world build, hang at a
 barrier, kill on every respawn, refuse to exit after the result) must
 leave the run's *simulation* outcome bit-identical to an undisturbed
 reference — the whole point of journal-replay recovery — while the
-recovery itself shows up in the ``supervision.*`` counters and the
-event log.
+recovery itself shows up in ``ShardRunResult.supervision``, the
+harness record.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.shard import (
     ShardPlan,
     SupervisionLog,
     run_sharded,
+    supervisor,
 )
 from repro.sim import PeriodicTask, ms
 
@@ -38,6 +39,12 @@ FAST = dict(
 )
 #: Longer than any test: hung workers are killed, never waited out.
 HANG_S = 30.0
+#: The recovery counts of ``ShardRunResult.supervision``: zero on a
+#: clean run under every engine.
+RECOVERY_KEYS = (
+    "crashes", "hangs", "respawns", "replayed_windows",
+    "finish_timeouts", "degraded_inline",
+)
 
 
 def ring_topology():
@@ -74,17 +81,11 @@ def build_ping_world(ctx, seed):
 
 
 def merged(run):
-    """The bit-equality artefact: simulation outcome only — the
-    ``supervision.*`` counters describe the harness, not the fabric."""
+    """The bit-equality artefact: the simulation outcome."""
     view = {}
     for result in run.results:
         view.update(result["received"])
-    counters = {
-        key: value
-        for key, value in run.counters.items()
-        if not key.startswith("supervision.")
-    }
-    return view, counters, run.events
+    return view, run.counters, run.events
 
 
 @pytest.fixture(scope="module")
@@ -128,19 +129,19 @@ class TestCrashRecovery:
     ):
         run = chaos_run(KILL_MID_WINDOW)
         assert run.engine == "process"
-        assert run.counters["supervision.crashes"] == 1
-        assert run.counters["supervision.respawns"] == 1
+        assert run.supervision["crashes"] == 1
+        assert run.supervision["respawns"] == 1
         # Killed when granted window 4, so windows 0..3 were replayed.
-        assert run.counters["supervision.replayed_windows"] == 4
-        assert run.counters["supervision.degraded_inline"] == 0
+        assert run.supervision["replayed_windows"] == 4
+        assert run.supervision["degraded_inline"] == 0
         assert merged(run) == merged(reference)
 
     def test_crash_during_world_build_respawns(self, process_env, reference):
         run = chaos_run(KILL_AT_BUILD)
         assert run.engine == "process"
-        assert run.counters["supervision.respawns"] == 1
+        assert run.supervision["respawns"] == 1
         # Died before any window: rebirth needs no replay.
-        assert run.counters["supervision.replayed_windows"] == 0
+        assert run.supervision["replayed_windows"] == 0
         assert merged(run) == merged(reference)
 
     def test_recovery_events_are_logged_with_wall_time(
@@ -163,8 +164,8 @@ class TestHangRecovery:
     ):
         run = chaos_run(HANG_AT_BARRIER)
         assert run.engine == "process"
-        assert run.counters["supervision.hangs"] == 1
-        assert run.counters["supervision.respawns"] == 1
+        assert run.supervision["hangs"] == 1
+        assert run.supervision["respawns"] == 1
         hang = next(
             payload
             for _, kind, payload in run.supervision["events"]
@@ -190,35 +191,34 @@ class TestDegradation:
     ):
         run = chaos_run(KILL_EVERY_LIFE, max_respawns=2)
         assert run.engine == "inline"
-        assert run.counters["supervision.respawns"] == 2
-        assert run.counters["supervision.degraded_inline"] == 1
+        assert run.supervision["respawns"] == 2
+        assert run.supervision["degraded_inline"] == 1
         assert any(
             "respawn budget" in cause
             for cause in run.supervision["degradations"]
         )
-        # The inline engine was fast-forwarded from the journal.
-        replay = next(
+        # The whole run was rerun inline from window 0, once.
+        reruns = [
             payload
             for _, kind, payload in run.supervision["events"]
-            if kind == "inline-replay"
-        )
-        assert replay["source"] == "journal"
+            if kind == "inline-rerun"
+        ]
+        assert len(reruns) == 1
+        assert reruns[0]["wall_s"] > 0
         assert merged(run) == merged(reference)
 
     def test_truncated_journal_degrades_by_recomputing(
-        self, process_env, reference
+        self, process_env, reference, monkeypatch
     ):
-        run = chaos_run(KILL_LATE, journal_limit=4)
+        # The journal lives in this (the coordinating) process, so
+        # lowering its bound here truncates it.
+        monkeypatch.setattr(supervisor, "JOURNAL_LIMIT", 4)
+        run = chaos_run(KILL_LATE)
         assert run.engine == "inline"
-        assert run.counters["supervision.journal_evicted"] > 0
+        assert run.supervision["journal_evicted"] > 0
         kinds = [kind for _, kind, _ in run.supervision["events"]]
         assert "journal-truncated" in kinds
-        replay = next(
-            payload
-            for _, kind, payload in run.supervision["events"]
-            if kind == "inline-replay"
-        )
-        assert replay["source"] == "recompute"
+        assert kinds.count("inline-rerun") == 1
         assert merged(run) == merged(reference)
 
 
@@ -230,7 +230,7 @@ class TestFinishContract:
         # The result was already in hand, so the run succeeds — but the
         # leak is counted instead of silently accepted.
         assert run.engine == "process"
-        assert run.counters["supervision.finish_timeouts"] == 1
+        assert run.supervision["finish_timeouts"] == 1
         assert merged(run) == merged(reference)
 
     def test_clean_run_reports_zeroed_supervision_counters(
@@ -238,9 +238,9 @@ class TestFinishContract:
     ):
         run = chaos_run(None)
         assert run.engine == "process"
-        for key, value in run.counters.items():
-            if key.startswith("supervision.") and "journal" not in key:
-                assert value == 0, key
+        for key in RECOVERY_KEYS:
+            assert run.supervision[key] == 0, key
+        assert run.supervision["journal_windows"] == run.windows
         assert run.supervision["totals"] == {}
         assert run.supervision["degradations"] == []
         assert merged(run) == merged(reference)
@@ -251,7 +251,7 @@ class TestShardConfig:
         "field, kwargs",
         [
             pytest.param("barrier_timeout_s", dict(barrier_timeout_s=0), id="barrier"),
-            pytest.param("heartbeat_interval_s", dict(heartbeat_interval_s=-1), id="heartbeat"),
+            pytest.param("heartbeat_interval_s", dict(heartbeat_interval_s=0), id="heartbeat"),
             pytest.param(
                 "probe_timeout_s",
                 dict(heartbeat_interval_s=1.0, probe_timeout_s=1.0),
@@ -259,7 +259,6 @@ class TestShardConfig:
             ),
             pytest.param("max_respawns", dict(max_respawns=-1), id="respawns"),
             pytest.param("respawn_backoff_s", dict(respawn_backoff_s=-1), id="backoff"),
-            pytest.param("journal_limit", dict(journal_limit=0), id="journal"),
         ],
     )
     def test_invalid_supervision_knobs_rejected(self, field, kwargs):
@@ -283,29 +282,25 @@ class TestFaultScript:
 
 
 class TestSupervisionLog:
-    def test_counter_keys_are_stable_and_zeroed(self):
+    def test_summary_keys_are_stable_and_count_events(self):
         log = SupervisionLog()
-        assert log.counters() == {
-            "supervision.crashes": 0,
-            "supervision.hangs": 0,
-            "supervision.respawns": 0,
-            "supervision.replayed_windows": 0,
-            "supervision.finish_timeouts": 0,
-            "supervision.degraded_inline": 0,
-        }
-
-    def test_timeline_and_first_event(self):
-        log = SupervisionLog()
+        fresh = log.summary()
+        for key in RECOVERY_KEYS + (
+            "journal_windows", "journal_messages", "journal_evicted",
+        ):
+            assert fresh[key] == 0, key
+        assert fresh["degradations"] == []
+        assert fresh["recovery_seconds"] == 0
         log.note("worker-crash", shard=1, detail="boom")
         log.note("worker-respawned", shard=1, attempt=1, wall_s=0.25)
-        log.note("worker-hang", shard=0, detail="stuck")
-        assert [kind for _, kind in log.timeline(1)] == [
-            "worker-crash", "worker-respawned",
-        ]
-        when, payload = log.first_event("worker-hang")
-        assert payload["shard"] == 0
-        assert log.first_event("finish-timeout") is None
-        assert log.recovery_seconds == 0.25
+        log.note("degraded-inline", cause="budget spent")
+        log.note("inline-rerun", wall_s=0.5)
+        summary = log.summary()
+        assert summary["crashes"] == summary["respawns"] == 1
+        assert summary["degraded_inline"] == 1
+        assert summary["degradations"] == ["budget spent"]
+        assert summary["recovery_seconds"] == 0.75
+        assert summary.keys() == fresh.keys()
 
     def test_summary_is_plain_data(self):
         import pickle

@@ -11,9 +11,9 @@ first: Python 3.12's ``sum()`` compensates float rounding, so every mean
 the experiments take with ``sum()`` differs from 3.10's in its last one
 or two digits, and the file must be the same on every Python CI runs.
 Host-side fields (``wall_seconds``, ``engine``, ``events_per_second``,
-``supervision.*``, the trace ``destination``) stay out. Kernel event and
-window counts get their own section, so a change that only drops no-op
-events moves that section alone.
+the trace ``destination``) stay out. Kernel event and window counts get
+their own section, so a change that only drops no-op events moves that
+section alone.
 
 The sharded fabric runs at shards 1 and 2, and the tool fails unless the
 two agree on every simulated field, kernel counts included. CI regenerates
@@ -73,7 +73,7 @@ def _member(name, value, path: str, outputs: list[str], kernel: list[str]) -> No
     """Render one field or dict entry into the section its name picks."""
     if not isinstance(name, str):
         _render(value, path, outputs, kernel)
-    elif name in HOST_FIELDS or name.startswith("supervision."):
+    elif name in HOST_FIELDS:
         return
     elif name in KERNEL_FIELDS:
         _render(value, path, kernel, kernel)
