@@ -5,7 +5,7 @@ large-scale multicore platforms, part of which involve the use of
 distributed coordination algorithms across multiple island resource
 managers."
 
-Where :mod:`~repro.experiments.scalability` compared coordination
+Where :mod:`~repro.experiments.scalability` compares coordination
 *algorithms* over star and ring meshes, this sweep compares
 control-plane *fabrics* built from declarative topologies: K x86
 islands, each a :class:`ProbeCell` (a latency-sensitive probe VM and two
@@ -28,6 +28,13 @@ entity registers on it while isolated; after the heal, the sweep measures
 *discovery convergence* — how long until the whole fabric can resolve
 the new entity. QoS must hold across arms: the fabrics differ in where
 control messages land, not in what the platform delivers.
+
+The control loops live here once for every K-island experiment:
+:func:`report_to_hub` is the central loop (this sweep's ``central`` arm
+and ``scalability``'s ``centralized`` arm), and
+:meth:`ProbeCell.tune_locally` is the one local policy step (the
+per-island controllers here and in ``scalability``, and each cluster
+agent of ``fabric_sharded``).
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 from ..metrics import OnlineStats
 from ..platform import EntityId, FabricTopology
-from ..sim import RandomStreams, ms, seconds
+from ..sim import ms, seconds
 from ..testbed import FabricTestbed, TestbedConfig
 from .report import render_table
 
@@ -78,9 +85,10 @@ class ProbeCell:
     slots of ``slot`` ns. Under that pressure an equal-weight probe's
     credit inflow (1/3 of the pool) drops below its 75% burn and it
     falls into the OVER band, where it suffers; :meth:`decide` is the
-    ±128 weight rule that answers it.
+    ±128 weight rule that answers it, and :meth:`tune_locally` the one
+    local policy step every K-island experiment's island manager takes.
 
-    Its loops, like :func:`run_fabric_arm`'s, sleep with ``yield <int>``:
+    Its loops, like :func:`report_to_hub`'s, sleep with ``yield <int>``:
     the allocation-free twin of ``yield sim.timeout(<int>)``, with the
     same sequence number and a None resume value.
     """
@@ -92,6 +100,8 @@ class ProbeCell:
         #: Probe latency over the whole run, and since the last reset.
         self.overall = OnlineStats()
         self.recent = OnlineStats()
+        #: Tunes :meth:`tune_locally` applied to the probe.
+        self.tunes = 0
         sim = island.sim
         sim.spawn(self._probe_loop(sim, jitter), name=f"probe-{island.name}")
         for hog in hogs:
@@ -123,6 +133,16 @@ class ProbeCell:
             return -128
         return 0
 
+    def tune_locally(self) -> float:
+        """One local policy step: decide on the mean probe latency since
+        the last reset and Tune this island's own probe. Returns the mean."""
+        mean = self.reset_recent()
+        delta = self.decide(mean)
+        if delta:
+            self.island.apply_tune(EntityId(self.island.name, "probe"), delta)
+            self.tunes += 1
+        return mean
+
 
 def _hog_loop(sim, vm, slot: int, slots: int, phase: int):
     while True:
@@ -130,6 +150,39 @@ def _hog_loop(sim, vm, slot: int, slots: int, phase: int):
             yield vm.execute(HOG_BURST, "user")
         else:
             yield HOG_BURST
+
+
+def report_to_hub(
+    testbed: FabricTestbed, cells: dict[str, ProbeCell], counts: dict[str, int]
+) -> None:
+    """The central control loop: every other island streams a load report
+    to the topology root each policy period, and the root's manager
+    decides and Tunes the reporter's probe over the mesh, so every control
+    message concentrates at the hub. ``counts`` tallies the reports the
+    hub handles (the mesh counts only Tunes, Triggers and relays)."""
+    mesh, hub = testbed.mesh, testbed.topology.root
+
+    def on_report(message: LoadReportMessage) -> None:
+        counts[hub] += 1
+        delta = cells[message.island].decide(message.probe_latency_ns)
+        if delta:
+            mesh.agent(hub, message.island).send_tune(
+                EntityId(message.island, "probe"), delta
+            )
+
+    for neighbor in mesh.neighbors(hub):
+        mesh.agent(hub, neighbor).register_message_handler(LoadReportMessage, on_report)
+
+    def reporter(name):
+        while True:
+            yield POLICY_PERIOD
+            mesh.agent(name, hub).endpoint.send(LoadReportMessage(
+                island=name, probe_latency_ns=cells[name].reset_recent()
+            ))
+
+    for name in cells:
+        if name != hub:
+            testbed.sim.spawn(reporter(name), name=f"report-{name}")
 
 
 @dataclass
@@ -178,10 +231,9 @@ def run_fabric_arm(
         config=TestbedConfig(topology=_topology(arm, names), directory=arm, seed=seed)
     )
     sim, directory, mesh = testbed.sim, testbed.directory, testbed.mesh
-    rng = RandomStreams(seed)
     cells = {
         name: ProbeCell(
-            testbed.islands[name], rng.stream(f"probe-{index}"),
+            testbed.islands[name], testbed.rng.stream(f"probe-{index}"),
             HOT_SLOT, DUTY_SLOTS, index % DUTY_SLOTS,
         )
         for index, name in enumerate(names)
@@ -191,54 +243,23 @@ def run_fabric_arm(
     report_counts: dict[str, int] = {name: 0 for name in names}
 
     if arm == "central":
-        # Every island streams load reports to the hub, whose manager
-        # decides and Tunes remote probe weights — all control messages
-        # concentrate at the hub.
-        hub = testbed.topology.root
-
-        def on_report(message: LoadReportMessage) -> None:
-            report_counts[hub] += 1
-            delta = cells[message.island].decide(message.probe_latency_ns)
-            if delta:
-                mesh.agent(hub, message.island).send_tune(
-                    EntityId(message.island, "probe"), delta
-                )
-
-        for neighbor in mesh.neighbors(hub):
-            mesh.agent(hub, neighbor).register_message_handler(
-                LoadReportMessage, on_report
-            )
-
-        def reporter(sim, name):
-            while True:
-                yield POLICY_PERIOD
-                mesh.agent(name, hub).endpoint.send(LoadReportMessage(
-                    island=name, probe_latency_ns=cells[name].reset_recent()
-                ))
-
-        for name in names:
-            if name != hub:
-                sim.spawn(reporter(sim, name), name=f"report-{name}")
-
+        report_to_hub(testbed, cells, report_counts)
     else:
         # Hierarchical and gossip arms: each island's own manager applies
         # the same policy locally. What differs is the control plane
         # around it — hierarchical islands stream raw reports to their
         # aggregator (coalesced upward once per period); gossip islands
         # rely on the directory's anti-entropy rounds alone.
-        def local_controller(sim, name):
+        def local_controller(name):
             while True:
                 yield POLICY_PERIOD
-                mean = cells[name].reset_recent()
-                delta = cells[name].decide(mean)
-                if delta:
-                    testbed.islands[name].apply_tune(EntityId(name, "probe"), delta)
+                cells[name].tune_locally()
                 if arm == "hierarchical":
                     directory.report_load(name)
                     report_counts[name] += 1
 
         for name in names:
-            sim.spawn(local_controller(sim, name), name=f"ctrl-{name}")
+            sim.spawn(local_controller(name), name=f"ctrl-{name}")
 
     # Partition one non-root island away from the control plane mid-run;
     # while isolated, a new entity registers on it. Convergence is how

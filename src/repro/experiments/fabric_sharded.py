@@ -10,13 +10,15 @@ its own process, and the conservative window protocol of
 sharded run is **bit-identical** to the single-process run — asserted
 here, every time, for every K.
 
-Each island is the fabric experiment's
-:class:`~repro.experiments.fabric.ProbeCell` (a latency-sensitive probe
-VM plus duty-cycled hogs), under a two-level control plane whose
-cross-cluster traffic all rides boundary messages:
+Each shard's world is a :class:`FabricShardWorld`. Each island is the
+fabric experiment's :class:`~repro.experiments.fabric.ProbeCell` (a
+latency-sensitive probe VM plus duty-cycled hogs), under a two-level
+control plane whose cross-cluster traffic all rides boundary messages:
 
-* **reports** — each aggregator coalesces its members' probe latencies
-  once per policy period and reports upward to the root;
+* **reports** — each aggregator takes every member's local policy step
+  (:meth:`~repro.experiments.fabric.ProbeCell.tune_locally`) once per
+  policy period, coalesces the probe latencies it returns and reports
+  upward to the root;
 * **tunes** — the root picks the worst over-budget cluster per period
   and sends a Tune back to its aggregator, which actuates the member's
   credit weight;
@@ -97,7 +99,7 @@ def sharded_topology(num_islands: int, fanout: int = FANOUT) -> FabricTopology:
     )
 
 
-def _watch(world: "_ShardWorld", local: str, peer: str) -> FailureDetector:
+def _watch(world: "FabricShardWorld", local: str, peer: str) -> FailureDetector:
     """The platform failure detector at ``local`` watching ``peer``
     across their boundary link, with the default :class:`FaultConfig`."""
     endpoint = BoundaryEndpoint(world.sim, world.router, local, peer)
@@ -108,12 +110,12 @@ def _watch(world: "_ShardWorld", local: str, peer: str) -> FailureDetector:
 class _ClusterAgent:
     """One cluster's control locus, living on its shard.
 
-    Local side: the fabric experiment's QoS policy over the member
-    probes. Boundary side: upward reports, inbound root tunes, ring
-    gossip of the dynamic-entity view, and uplink heartbeats.
+    Local side: each member probe's local policy step. Boundary side:
+    upward reports, inbound root tunes, ring gossip of the dynamic-entity
+    view (and the root's sync of it on heal), and uplink heartbeats.
     """
 
-    def __init__(self, world: "_ShardWorld", cluster) -> None:
+    def __init__(self, world: "FabricShardWorld", cluster) -> None:
         self.world = world
         self.name = cluster.name
         self.aggregator = cluster.aggregator
@@ -131,10 +133,10 @@ class _ClusterAgent:
         self.tunes_received = 0
         router, sim = world.router, world.sim
         router.register(self.aggregator, "tune", self._on_tune)
-        router.register(self.aggregator, "gossip", self._on_gossip)
+        router.register(self.aggregator, "gossip", self._on_view)
         if not self.is_root:
             router.register(self.aggregator, "announce", self._on_announce)
-            router.register(self.aggregator, "sync", self._on_sync)
+            router.register(self.aggregator, "sync", self._on_view)
             self.uplink = _watch(world, self.aggregator, topo.root)
             self.uplink.on_up(self._replay_view)
         else:
@@ -148,15 +150,10 @@ class _ClusterAgent:
         world = self.world
         worst_member, worst_mean, total = self.members[0], -1.0, 0.0
         for member in self.members:
-            cell = world.cells[member]
-            mean = cell.reset_recent()
+            mean = world.cells[member].tune_locally()
             total += mean
             if mean > worst_mean:
                 worst_member, worst_mean = member, mean
-            delta = cell.decide(mean)
-            if delta:
-                cell.island.apply_tune(EntityId(member, "probe"), delta)
-                world.tunes_local[member] += 1
         payload = {
             "cluster": self.name,
             "mean": total / len(self.members),
@@ -209,10 +206,6 @@ class _ClusterAgent:
     def _on_announce(self, message) -> None:
         self.merge(message.payload["name"], tuple(message.payload["stamp"]))
 
-    def _on_sync(self, message) -> None:
-        for name, stamp in sorted(message.payload["view"].items()):
-            self.merge(name, tuple(stamp))
-
     def _gossip(self) -> None:
         if not self.view:
             return
@@ -221,7 +214,8 @@ class _ClusterAgent:
             {"view": dict(self.view)}, self.world.sim.now,
         )
 
-    def _on_gossip(self, message) -> None:
+    def _on_view(self, message) -> None:
+        """A peer's whole view (ring gossip, or the root's sync on heal)."""
         for name, stamp in sorted(message.payload["view"].items()):
             self.merge(name, tuple(stamp))
 
@@ -253,7 +247,7 @@ class _RootAgent:
     """The fabric root: cluster-load ledger, global tune policy, and the
     announce fan-out hub. Lives on whichever shard owns the root."""
 
-    def __init__(self, world: "_ShardWorld", agent: _ClusterAgent) -> None:
+    def __init__(self, world: "FabricShardWorld", agent: _ClusterAgent) -> None:
         self.world = world
         self.agent = agent  # the root is also cluster-0's aggregator
         self.cluster_loads: dict[str, dict] = {}
@@ -337,8 +331,12 @@ class _RootAgent:
         }
 
 
-class _ShardWorld:
-    """One shard's slice of the fabric: islands, workload, agents."""
+class FabricShardWorld:
+    """One shard's slice of the fabric: islands, workload, agents.
+
+    The class is the world builder :func:`~repro.shard.run_sharded` calls
+    as ``FabricShardWorld(ctx, seed, duration, blackout)``; being module
+    level, it pickles by reference into shard workers."""
 
     def __init__(self, ctx, seed: int, duration: int, blackout: bool) -> None:
         self.sim = ctx.sim
@@ -356,7 +354,6 @@ class _ShardWorld:
             )
             for name in ctx.islands
         }
-        self.tunes_local = dict.fromkeys(ctx.islands, 0)
 
         owned = set(ctx.plan.clusters_of(ctx.shard_index))
         self.agents: dict[str, _ClusterAgent] = {}
@@ -404,7 +401,7 @@ class _ShardWorld:
                 name: {
                     "probe_mean_ns": cell.overall.mean,
                     "probe_count": cell.overall.count,
-                    "tunes_local": self.tunes_local[name],
+                    "tunes_local": cell.tunes,
                 }
                 for name, cell in sorted(self.cells.items())
             },
@@ -414,11 +411,6 @@ class _ShardWorld:
             "root": None if self.root is None else self.root.collect(),
             "spare_registered_at": self.spare_registered_at,
         }
-
-
-def build_fabric_world(ctx, seed: int, duration: int, blackout: bool) -> _ShardWorld:
-    """Module-level world builder (pickled into shard workers)."""
-    return _ShardWorld(ctx, seed, duration, blackout)
 
 
 # -- the arm and the sweep ----------------------------------------------------
@@ -481,7 +473,7 @@ def run_fabric_sharded_arm(
     topology = sharded_topology(num_islands, fanout=fanout)
     plan = ShardPlan(topology, shards=shards)
     run = run_sharded(
-        plan, build_fabric_world, (seed, duration, blackout),
+        plan, FabricShardWorld, (seed, duration, blackout),
         duration=duration, workers=workers,
     )
     metrics = _merge_shard_results(run.results, run.counters)

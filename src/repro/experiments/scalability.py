@@ -5,33 +5,39 @@ large-scale multicore platforms, part of which involve the use of
 distributed coordination algorithms across multiple island resource
 managers."
 
-K x86 islands ("cells") each run the fabric sweep's
+K x86 islands ("cells") form a :class:`~repro.testbed.FabricTestbed`
+world, and each runs the fabric sweep's
 :class:`~repro.experiments.fabric.ProbeCell`: a latency-sensitive probe
 VM and two CPU hogs whose hot phases rotate across cells. Three arms
 per K:
 
-* ``none``        — no coordination: probes suffer during their cell's
-                    hot phase;
-* ``centralized`` — a star mesh: every cell streams load reports to the
-                    hub's Dom0, which Tunes remote probe weights. All
-                    coordination messages concentrate at the hub (O(K));
-* ``distributed`` — each cell's manager tunes locally and only exchanges
-                    heartbeats with its two ring neighbours (O(1) per
-                    cell, no concentration point).
+* ``none``        — no coordination over a star: probes suffer during
+                    their cell's hot phase;
+* ``centralized`` — a star running the fabric sweep's central loop
+                    (:func:`~repro.experiments.fabric.report_to_hub`):
+                    every cell streams load reports to the hub's Dom0,
+                    which Tunes remote probe weights. All coordination
+                    messages concentrate at the hub (O(K));
+* ``distributed`` — a ring: each cell's manager takes the local policy
+                    step (:meth:`~repro.experiments.fabric.ProbeCell.
+                    tune_locally`) and only exchanges heartbeats with its
+                    two ring neighbours (O(1) per cell, no concentration
+                    point).
 
 Both coordinated arms should deliver comparable QoS; what scales
-differently is where the messages land.
+differently is where the messages land. The workload is this module's
+own — 2 s hot phases per cell, seed 17, 150 µs links, 12 s runs and no
+partition — so it stays a separate experiment from the fabric sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..platform import EntityId, FabricTopology
-from ..platform.mesh import CoordinationMesh
-from ..sim import RandomStreams, Simulator, seconds, us
-from ..x86 import X86Island, X86Params
-from .fabric import POLICY_PERIOD, LoadReportMessage, ProbeCell
+from ..platform import FabricTopology
+from ..sim import seconds, us
+from ..testbed import FabricTestbed, TestbedConfig
+from .fabric import POLICY_PERIOD, LoadReportMessage, ProbeCell, report_to_hub
 from .report import render_table
 
 ARMS = ("none", "centralized", "distributed")
@@ -57,59 +63,29 @@ class ScalabilityArmResult:
     events: int
 
 
-def _build_cells(sim: Simulator, count: int) -> list[ProbeCell]:
-    rng = RandomStreams(17)
-    return [
-        ProbeCell(
-            X86Island(sim, X86Params(num_cpus=2), name=f"cell-{index}"),
-            rng.stream(f"probe-{index}"), HOT_PHASE, count, index,
-        )
-        for index in range(count)
-    ]
-
-
 def run_scalability_arm(arm: str, num_cells: int, duration: int = seconds(12)) -> ScalabilityArmResult:
     """Run one arm at one cell count."""
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
-    sim = Simulator()
-    cells = _build_cells(sim, num_cells)
-    by_name = {cell.island.name: cell for cell in cells}
-    names = tuple(by_name)
-    mesh = CoordinationMesh(sim, latency=LINK_LATENCY)
-    for cell in cells:
-        mesh.add_island(cell.island, handler_vm=cell.island.dom0)
-
+    names = tuple(f"cell-{index}" for index in range(num_cells))
+    shape = FabricTopology.ring if arm == "distributed" else FabricTopology.star
+    testbed = FabricTestbed(config=TestbedConfig(
+        topology=shape(names, link_latency=LINK_LATENCY), seed=17
+    ))
+    sim, mesh = testbed.sim, testbed.mesh
+    cells = {
+        name: ProbeCell(
+            testbed.islands[name], testbed.rng.stream(f"probe-{index}"),
+            HOT_PHASE, num_cells, index,
+        )
+        for index, name in enumerate(names)
+    }
     heartbeat_counts = {name: 0 for name in names}
 
     if arm == "centralized":
-        hub = names[0]
-        mesh.apply_topology(FabricTopology.star(names, link_latency=LINK_LATENCY))
-
-        def on_report(message: LoadReportMessage) -> None:
-            heartbeat_counts[hub] += 1
-            delta = by_name[message.island].decide(message.probe_latency_ns)
-            if delta:
-                mesh.agent(hub, message.island).send_tune(
-                    EntityId(message.island, "probe"), delta
-                )
-
-        for name in mesh.neighbors(hub):
-            mesh.agent(hub, name).register_message_handler(LoadReportMessage, on_report)
-
-        def reporter(sim, name):
-            while True:
-                yield sim.timeout(POLICY_PERIOD)
-                mesh.agent(name, hub).endpoint.send(LoadReportMessage(
-                    island=name, probe_latency_ns=by_name[name].reset_recent()
-                ))
-
-        for name in names[1:]:
-            sim.spawn(reporter(sim, name), name=f"report-{name}")
+        report_to_hub(testbed, cells, heartbeat_counts)
 
     elif arm == "distributed":
-        mesh.apply_topology(FabricTopology.ring(names, link_latency=LINK_LATENCY))
-
         def on_heartbeat(message: LoadReportMessage, receiver: str) -> None:
             heartbeat_counts[receiver] += 1
 
@@ -119,39 +95,35 @@ def run_scalability_arm(arm: str, num_cells: int, duration: int = seconds(12)) -
                     LoadReportMessage, lambda m, receiver=name: on_heartbeat(m, receiver)
                 )
 
-        def local_controller(sim, name):
-            cell = by_name[name]
+        def local_controller(name):
+            cell = cells[name]
             while True:
-                yield sim.timeout(POLICY_PERIOD)
-                mean = cell.reset_recent()
-                # Local decision: the cell's own manager tunes itself.
-                delta = cell.decide(mean)
-                if delta:
-                    cell.island.apply_tune(EntityId(name, "probe"), delta)
-                # Gossip a heartbeat to ring neighbours only.
+                yield POLICY_PERIOD
+                # Local decision: the cell's own manager tunes itself,
+                # then heartbeats its ring neighbours only.
+                mean = cell.tune_locally()
                 for neighbor in mesh.neighbors(name):
                     mesh.agent(name, neighbor).endpoint.send(
                         LoadReportMessage(island=name, probe_latency_ns=mean)
                     )
 
         for name in names:
-            sim.spawn(local_controller(sim, name), name=f"ctrl-{name}")
+            sim.spawn(local_controller(name), name=f"ctrl-{name}")
 
     sim.run(until=duration)
 
-    latencies = [cell.overall.mean / 1e6 for cell in cells]
+    latencies = [cell.overall.mean / 1e6 for cell in cells.values()]
     per_cell_messages = {
         name: heartbeat_counts[name] + mesh.messages_handled_at(name)
-        for name in by_name
+        for name in names
     }
-    hub_messages = per_cell_messages.get(names[0], 0) if arm != "none" else 0
     return ScalabilityArmResult(
         arm=arm,
         num_cells=num_cells,
         mean_probe_latency_ms=sum(latencies) / len(latencies),
         worst_cell_latency_ms=max(latencies),
-        hub_messages=hub_messages,
-        max_cell_messages=max(per_cell_messages.values()) if arm != "none" else 0,
+        hub_messages=per_cell_messages[names[0]],
+        max_cell_messages=max(per_cell_messages.values()),
         total_messages=sum(per_cell_messages.values()),
         events=sim.events,
     )

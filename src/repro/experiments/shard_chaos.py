@@ -33,8 +33,8 @@ from ..shard import FaultScript, ShardConfig, ShardPlan, run_sharded
 from ..sim import ms
 from .fabric import FANOUT
 from .fabric_sharded import (
+    FabricShardWorld,
     _merge_shard_results,
-    build_fabric_world,
     sharded_topology,
 )
 from .report import render_table
@@ -112,7 +112,7 @@ def run_shard_chaos_arm(
     """One drill: run under the fault script, assert bit-equality."""
     config = ShardConfig(**{**CHAOS_KNOBS, **overrides})
     run = run_sharded(
-        plan, build_fabric_world, (seed, duration, False),
+        plan, FabricShardWorld, (seed, duration, False),
         duration=duration, workers=workers, config=config, fault_hook=script,
     )
     metrics = _merge_shard_results(run.results, run.counters)
@@ -158,7 +158,7 @@ def run_shard_chaos(
     for count in island_counts:
         topology = sharded_topology(count, fanout=fanout)
         reference = run_sharded(
-            ShardPlan(topology, shards=1), build_fabric_world,
+            ShardPlan(topology, shards=1), FabricShardWorld,
             (seed, duration, False), duration=duration,
         )
         reference_metrics = _merge_shard_results(

@@ -37,7 +37,6 @@ class GPUIsland(Island):
         context = self.device.create_context(vm_name, weight)
         self.register_entity(
             EntityId(self.name, vm_name),
-            context,
             knob=weight_knob(
                 kind="runlist-weight",
                 unit="share",

@@ -177,7 +177,6 @@ class IXPIsland(Island):
         self.flow_queues[vm_name] = queue
         self.register_entity(
             EntityId(self.name, vm_name),
-            queue,
             knob=weight_knob(
                 kind="flow-service-weight",
                 unit="threads-share",
@@ -239,7 +238,6 @@ class IXPIsland(Island):
                                           rate_bytes_per_s=rate_bytes_per_s)
         self.register_entity(
             EntityId(self.name, f"egress:{vm_name}"),
-            queue,
             knob=weight_knob(
                 kind="egress-weight",
                 unit="share",

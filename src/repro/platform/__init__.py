@@ -17,7 +17,6 @@ from .directory import (
     GossipDirectory,
     HierarchicalDirectory,
     OwnershipRecord,
-    PeerRecord,
     UnknownEntityError,
     build_directory,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "KnobError",
     "KnobRegistry",
     "OwnershipRecord",
-    "PeerRecord",
     "TriggerSpec",
     "UnknownEntityError",
     "UnknownKnobError",

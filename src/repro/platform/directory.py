@@ -16,12 +16,14 @@ implementations:
   root table mapping entities to clusters, and load reports coalesced
   upward once per aggregation period. Concentration O(fanout).
 * :class:`GossipDirectory` — no rendezvous point at all: every node
-  holds a *view* of entity-ownership and peer-health records, and an
-  anti-entropy round (a deterministic :class:`~repro.sim.PeriodicTask`)
-  push-pull merges views pairwise. Records carry ``(epoch, version)``
-  stamps riding the PR-5 fault-domain idiom, so a node that rejoins
-  after a partition reconciles instead of resurrecting stale ownership.
-  Concentration O(1) per node per round.
+  holds a *view* of entity-ownership records, and an anti-entropy round
+  (a deterministic :class:`~repro.sim.PeriodicTask`) push-pull merges
+  views pairwise. Records carry ``(epoch, version)`` stamps, so a node
+  that rejoins after a partition reconciles instead of resurrecting
+  stale ownership. Concentration O(1) per node per round.
+
+Directories spread ownership only: the platform reads node liveness
+from the :class:`~repro.faults.FailureDetector`.
 
 All three keep *message accounting* per node (:meth:`DirectoryBase.
 message_counts`): the fabric experiment's concentration measurements
@@ -79,9 +81,9 @@ class Directory(Protocol):
 class OwnershipRecord:
     """One versioned entity-ownership fact, as gossip disseminates it.
 
-    ``(epoch, version)`` orders records: the epoch bumps on ownership
-    moves and post-partition rejoins (the PR-5 recovery idiom), the
-    version on every re-registration. Higher tuples win reconciliation.
+    ``(epoch, version)`` orders records: the epoch bumps when the entity
+    moves to another island, the version on every re-registration.
+    Higher tuples win reconciliation.
     """
 
     entity: EntityId
@@ -93,24 +95,6 @@ class OwnershipRecord:
     @property
     def stamp(self) -> tuple[int, int]:
         return (self.epoch, self.version)
-
-
-@dataclass(frozen=True, slots=True)
-class PeerRecord:
-    """One node's gossiped liveness claim about itself.
-
-    ``heartbeat`` increments every round the node participates in;
-    ``epoch`` bumps when the node rejoins after isolation. A record that
-    stops advancing is the epidemic analogue of a missed heartbeat."""
-
-    node: str
-    epoch: int
-    heartbeat: int
-    stamped_at: int
-
-    @property
-    def stamp(self) -> tuple[int, int]:
-        return (self.epoch, self.heartbeat)
 
 
 class DirectoryBase:
@@ -150,7 +134,7 @@ class DirectoryBase:
         self._islands[island.name] = island
         self._admit_island(island)
         island.attach_controller(self)
-        for entity_id in island.entities():
+        for entity_id in island.knobs.entities():
             self.note_entity(island, entity_id)
         self.tracer.emit("controller", "island-registered", island=island.name)
 
@@ -242,13 +226,12 @@ class DirectoryBase:
             self.tracer.emit("controller", "node-isolated", island=island_name)
 
     def heal(self, island_name: str) -> None:
-        """Heal the partition: flush deferred registrations, let the
-        implementation reconcile (gossip bumps the node's epoch)."""
+        """Heal the partition and flush the registrations it deferred
+        (gossip defers none: its next rounds spread them)."""
         if island_name not in self._isolated:
             return
         self._isolated.discard(island_name)
         self.tracer.emit("controller", "node-healed", island=island_name)
-        self._on_heal(island_name)
         pending = [(name, e) for name, e in self._pending_registrations
                    if name == island_name]
         self._pending_registrations = [
@@ -257,9 +240,6 @@ class DirectoryBase:
         ]
         for name, entity_id in pending:
             self._admit_entity(name, entity_id)
-
-    def _on_heal(self, island_name: str) -> None:
-        """Hook: implementation-specific rejoin work (default none)."""
 
     def isolated(self) -> frozenset:
         """Currently partitioned island names."""
@@ -332,11 +312,6 @@ class CentralDirectory(DirectoryBase):
         self._hub = hub
         self.hop_latency = hop_latency
         self._owner_of: dict[EntityId, str] = {}
-
-    @property
-    def hub(self) -> Optional[str]:
-        """The hub node every directory message lands on."""
-        return self._hub
 
     def _admit_island(self, island: Island) -> None:
         if self._hub is None:
@@ -466,20 +441,19 @@ class HierarchicalDirectory(DirectoryBase):
 
 
 class GossipDirectory(DirectoryBase):
-    """Epidemic dissemination of ownership and peer-health records.
+    """Epidemic dissemination of entity ownership.
 
-    Every node keeps a full *view* (entity -> :class:`OwnershipRecord`,
-    node -> :class:`PeerRecord`); an anti-entropy
-    :class:`~repro.sim.PeriodicTask` has each live node push-pull merge
-    with one deterministic random peer per round. Reconciliation is by
-    ``(epoch, version)`` — higher wins — so discovery converges after
-    partitions without a rendezvous point, and a rejoining node's
-    pre-partition records lose to anything the fabric learned meanwhile.
+    Every node keeps a full *view* (entity -> :class:`OwnershipRecord`);
+    an anti-entropy :class:`~repro.sim.PeriodicTask` has each live node
+    push-pull merge with one deterministic random peer per round.
+    Reconciliation is by ``(epoch, version)`` — higher wins — so
+    discovery converges after partitions without a rendezvous point, and
+    a rejoining node's pre-partition records lose to anything the fabric
+    learned meanwhile.
 
     An isolated node skips rounds entirely (it can neither infect nor be
-    infected) but keeps recording its own facts; :meth:`~DirectoryBase.
-    heal` bumps its epoch (the PR-5 recovery idiom) and re-injects its
-    records into the next round's spread.
+    infected) but keeps recording its own facts; after
+    :meth:`~DirectoryBase.heal` the next rounds spread them.
     """
 
     _defers_when_isolated = False
@@ -495,10 +469,7 @@ class GossipDirectory(DirectoryBase):
         self.period = period if period is not None else ms(50)
         self.rng = RandomStreams(seed).stream("gossip-directory")
         self._views: dict[str, dict[EntityId, OwnershipRecord]] = {}
-        self._peer_views: dict[str, dict[str, PeerRecord]] = {}
         self._authoritative: dict[EntityId, OwnershipRecord] = {}
-        self._node_epochs: dict[str, int] = {}
-        self._heartbeats: dict[str, int] = {}
         #: Two counts of one relation, "node n's view holds entity e's
         #: authoritative record": per node and per entity. A node holding
         #: every authoritative record can accept no offer; an entity held
@@ -516,9 +487,6 @@ class GossipDirectory(DirectoryBase):
 
     def _admit_island(self, island: Island) -> None:
         self._views[island.name] = {}
-        self._peer_views[island.name] = {}
-        self._node_epochs[island.name] = 0
-        self._heartbeats[island.name] = 0
         self._holding[island.name] = 0
         # The newcomer holds no record yet, so none is fabric-wide visible
         # and every entity spreads again. The visible ones are exactly
@@ -582,15 +550,9 @@ class GossipDirectory(DirectoryBase):
         nodes = sorted(self._views)
         live = [node for node in nodes if node not in self._isolated]
         self.rounds += 1
+        if len(live) < 2:
+            return
         for index, node in enumerate(live):
-            # Refresh the node's own liveness record, then infect a peer.
-            self._heartbeats[node] += 1
-            self._peer_views[node][node] = PeerRecord(
-                node=node, epoch=self._node_epochs[node],
-                heartbeat=self._heartbeats[node], stamped_at=self.sim.now,
-            )
-            if len(live) < 2:
-                continue
             # A uniform draw over the other live nodes, skipping this one.
             pick = self.rng.randrange(len(live) - 1)
             self._exchange(node, live[pick + (pick >= index)])
@@ -598,32 +560,12 @@ class GossipDirectory(DirectoryBase):
     def _exchange(self, a: str, b: str) -> None:
         """Push-pull anti-entropy between two nodes: both end up with the
         union of their views, newer stamps winning. Costs two messages at
-        each end (request + response).
-
-        Peer records are born only in :meth:`_gossip_round`, where a
-        node's heartbeat rises by one per refresh and its epoch never
-        falls. For one node, a higher ``heartbeat`` therefore means a
-        higher ``(epoch, heartbeat)`` stamp, and an equal one the same
-        record. So one pass over ``a``'s peer view gives both ends the
-        newer record, new keys entering ``b`` in ``a``'s order; a
-        catch-up pass, in ``b``'s order, runs only when ``b`` names
-        nodes that ``a`` lacks."""
+        each end (request + response)."""
         self.exchanges += 1
         self._count(a, 2)
         self._count(b, 2)
         self._merge_views(self._views[a], b)
         self._merge_views(self._views[b], a)
-        peers_a, peers_b = self._peer_views[a], self._peer_views[b]
-        for node, mine in peers_a.items():
-            theirs = peers_b.get(node)
-            if theirs is None or mine.heartbeat > theirs.heartbeat:
-                peers_b[node] = mine
-            elif theirs.heartbeat > mine.heartbeat:
-                peers_a[node] = theirs
-        if len(peers_b) > len(peers_a):
-            for node, theirs in peers_b.items():
-                if node not in peers_a:
-                    peers_a[node] = theirs
 
     def _merge_views(self, source: dict[EntityId, OwnershipRecord], node: str) -> None:
         """Offer ``source``'s records to ``node``.
@@ -676,21 +618,11 @@ class GossipDirectory(DirectoryBase):
                         latency=self.sim.now - self._registered_at[entity],
                     )
 
-    def _on_heal(self, island_name: str) -> None:
-        # The PR-5 rejoin idiom: a healed node bumps its epoch so its
-        # fresh liveness claims dominate anything stamped pre-partition.
-        if island_name in self._node_epochs:
-            self._node_epochs[island_name] += 1
-
     # -- distributed introspection -------------------------------------------
 
     def view(self, node: str) -> dict[EntityId, str]:
         """Node-local ownership belief (entity -> island name)."""
         return {e: r.owner for e, r in self._views[node].items()}
-
-    def peer_view(self, node: str) -> dict[str, PeerRecord]:
-        """Node-local liveness beliefs (gossiped peer records)."""
-        return dict(self._peer_views[node])
 
     def is_converged(self) -> bool:
         """True when every node's view holds every authoritative record,

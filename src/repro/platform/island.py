@@ -3,7 +3,9 @@
 An *island* is a set of resources under the control of a single resource
 manager (paper §1). The coordination layer only ever talks to this
 interface, so policies are written once and work against any island type —
-the "standard mechanisms and interfaces" the paper argues for.
+the "standard mechanisms and interfaces" the paper argues for. An island's
+coordination entities are the entities of its knob registry: registering
+one means registering its typed knob.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ class Island:
         self.name = name
         self.tracer = tracer or Tracer(sim, enabled=False)
         self._controller: Optional["Directory"] = None
-        self._entities: dict[EntityId, object] = {}
         #: The typed actuator table every Tune/Trigger dispatches over.
         self.knobs = KnobRegistry(sim, name, tracer=self.tracer)
 
@@ -51,34 +52,18 @@ class Island:
         """The global controller, once registered."""
         return self._controller
 
-    def register_entity(
-        self, entity_id: EntityId, entity: object, knob: Optional[Knob] = None
-    ) -> None:
-        """Expose ``entity`` (a VM, flow queue, ...) to coordination.
-
-        ``knob``, when given, is registered alongside so Tunes and
-        Triggers addressed to the entity dispatch through the typed
-        actuation layer.
-        """
-        if entity_id in self._entities:
-            raise ValueError(f"entity {entity_id} already registered on island {self.name}")
-        self._entities[entity_id] = entity
-        if knob is not None:
-            self.knobs.register(entity_id, knob)
+    def register_entity(self, entity_id: EntityId, knob: Knob) -> None:
+        """Expose an entity (a VM, flow queue, ...) to coordination through
+        its typed ``knob``, which Tunes and Triggers addressed to it
+        dispatch over. A second registration of ``entity_id`` raises
+        ``ValueError``."""
+        self.knobs.register(entity_id, knob)
         if self._controller is not None:
             self._controller.note_entity(self, entity_id)
 
-    def entity(self, entity_id: EntityId) -> object:
-        """Look up a registered entity; KeyError if unknown."""
-        return self._entities[entity_id]
-
-    def entities(self) -> dict[EntityId, object]:
-        """A copy of the registered-entity table."""
-        return dict(self._entities)
-
     def has_entity(self, entity_id: EntityId) -> bool:
         """Whether ``entity_id`` is registered on this island."""
-        return entity_id in self._entities
+        return self.knobs.has(entity_id)
 
     # -- the two standard coordination mechanisms -------------------------
 
@@ -110,4 +95,4 @@ class Island:
         return self.knobs.trigger(entity_id, span=span)
 
     def __repr__(self) -> str:
-        return f"<{self.__class__.__name__} {self.name!r} entities={len(self._entities)}>"
+        return f"<{self.__class__.__name__} {self.name!r} entities={len(self.knobs)}>"

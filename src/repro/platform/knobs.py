@@ -230,6 +230,10 @@ class KnobRegistry:
     def has(self, entity_id: EntityId) -> bool:
         return entity_id in self._knobs
 
+    def entities(self) -> list[EntityId]:
+        """Every registered entity, in registration order."""
+        return list(self._knobs)
+
     def get(self, entity_id: EntityId) -> Knob:
         """The knob registered for ``entity_id``; UnknownKnobError if none."""
         try:

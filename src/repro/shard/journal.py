@@ -39,10 +39,10 @@ JournalEntry = tuple[int, int, list[list[BoundaryMessage]]]
 class WindowJournal:
     """Bounded per-run journal of every window grant and routed batch."""
 
-    def __init__(self, shards: int, limit: Optional[int] = None):
+    def __init__(self, shards: int, limit: int):
         if shards < 1:
             raise ValueError(f"shards must be at least 1, got {shards}")
-        if limit is not None and limit < 1:
+        if limit < 1:
             raise ValueError(f"limit must be >= 1 windows, got {limit}")
         self.shards = shards
         self.limit = limit
@@ -74,7 +74,7 @@ class WindowJournal:
         self._entries.append((index, until, batches))
         self.windows_recorded += 1
         self.messages_recorded += sum(len(batch) for batch in batches)
-        if self.limit is not None and len(self._entries) > self.limit:
+        if len(self._entries) > self.limit:
             self._entries.popleft()
             self.evicted += 1
 

@@ -66,15 +66,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently suspended on.
-
-        None while the process sleeps on a fast integer delay (there is no
-        event object then) as well as before start and after finish.
-        """
-        return self._target
-
     # -- control ---------------------------------------------------------
 
     def interrupt(self, cause: object = None) -> None:

@@ -6,7 +6,6 @@ from .guest import GuestAccounting, GuestKernel, WorkItem
 from .island import DOM0_NAME, DVFS_LADDER, X86Island
 from .llc import (
     MAX_BW_SHARE,
-    MemoryKnobTarget,
     MemoryProfile,
     MemorySystem,
     MemorySystemParams,
@@ -22,7 +21,6 @@ __all__ = [
     "DOM0_NAME",
     "DVFS_LADDER",
     "MAX_BW_SHARE",
-    "MemoryKnobTarget",
     "MemoryProfile",
     "MemorySystem",
     "MemorySystemParams",

@@ -25,8 +25,8 @@ from ..platform import EntityId, Island, Knob, TriggerSpec, weight_knob
 from ..sim import Simulator, Tracer
 from .credit import CreditScheduler
 from .diskio import DiskInterface, WeightedIOScheduler
-from .llc import MAX_BW_SHARE, MemoryKnobTarget, MemoryProfile, MemorySystem
-from .memory import BalloonDriver, BalloonTarget
+from .llc import MAX_BW_SHARE, MemoryProfile, MemorySystem
+from .memory import BalloonDriver
 from .params import X86Params
 from .vm import VirtualMachine
 from .xenctrl import MAX_WEIGHT, MIN_WEIGHT, XenCtl
@@ -74,7 +74,6 @@ class X86Island(Island):
         # governors Tune it (±1 = one ladder step) like any other actuator.
         self.register_entity(
             EntityId(self.name, "dvfs"),
-            self.scheduler,
             knob=Knob(
                 kind="dvfs-level",
                 unit="ladder-index",
@@ -123,7 +122,6 @@ class X86Island(Island):
         self._vms[name] = vm
         self.register_entity(
             EntityId(self.name, name),
-            vm,
             knob=Knob(
                 kind="credit-weight",
                 unit="credits",
@@ -163,7 +161,6 @@ class X86Island(Island):
         self.disk = scheduler
         self.register_entity(
             EntityId(self.name, "disk"),
-            scheduler,
             knob=Knob(
                 kind="io-poll-interval",
                 unit="ns",
@@ -187,7 +184,6 @@ class X86Island(Island):
         queue = interface.queue
         self.register_entity(
             EntityId(self.name, f"disk:{vm.name}"),
-            queue,
             knob=weight_knob(
                 kind="io-weight",
                 unit="share",
@@ -235,7 +231,6 @@ class X86Island(Island):
         name = vm.name
         self.register_entity(
             EntityId(self.name, f"llc:{name}"),
-            MemoryKnobTarget(system, name, "llc-ways"),
             knob=Knob(
                 kind="llc-ways",
                 unit="ways",
@@ -247,7 +242,6 @@ class X86Island(Island):
         )
         self.register_entity(
             EntityId(self.name, f"bw:{name}"),
-            MemoryKnobTarget(system, name, "bw-share"),
             knob=Knob(
                 kind="bw-share",
                 unit="share",
@@ -259,7 +253,6 @@ class X86Island(Island):
         )
         self.register_entity(
             EntityId(self.name, f"prefetch:{name}"),
-            MemoryKnobTarget(system, name, "prefetch-throttle"),
             knob=Knob(
                 kind="prefetch-throttle",
                 unit="percent",
@@ -290,7 +283,6 @@ class X86Island(Island):
         self.balloon.manage(vm, working_set_mb)
         self.register_entity(
             EntityId(self.name, f"mem:{vm.name}"),
-            BalloonTarget(self.balloon, vm.name),
             knob=Knob(
                 kind="memory-allocation",
                 unit="MB",

@@ -126,15 +126,6 @@ class _DomainState:
     chained: Optional[Callable[[], float]] = None
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryKnobTarget:
-    """Coordination entity for one domain's llc/bw/prefetch control."""
-
-    system: "MemorySystem"
-    vm_name: str
-    control: str  #: ``llc-ways`` | ``bw-share`` | ``prefetch-throttle``
-
-
 class MemorySystem:
     """The shared LLC + bandwidth pipe, and its per-domain allocations.
 

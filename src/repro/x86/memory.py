@@ -118,14 +118,6 @@ class BalloonDriver:
         return self.paging.factor(vm.working_set_mb, vm.memory_mb)
 
 
-@dataclass(frozen=True, slots=True)
-class BalloonTarget:
-    """Coordination entity for one domain's memory allocation."""
-
-    driver: BalloonDriver
-    vm_name: str
-
-
 class MemoryBalancerPolicy:
     """Coordinated ballooning: give memory to whoever is thrashing.
 

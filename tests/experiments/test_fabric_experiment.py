@@ -4,11 +4,18 @@ import pytest
 
 from repro.experiments.fabric import (
     ARMS,
+    DUTY_SLOTS,
+    HOT_SLOT,
+    LATENCY_HIGH,
+    LATENCY_LOW,
     FabricArmResult,
+    ProbeCell,
     render_fabric,
     run_fabric_arm,
 )
-from repro.sim import seconds
+from repro.platform import EntityId
+from repro.sim import RandomStreams, Simulator, ms, seconds
+from repro.x86 import X86Island
 
 K = 8
 K_BIG = 32
@@ -83,3 +90,39 @@ class TestFabricArms:
         for arm in ARMS:
             assert arm in table
         assert "Converge" in table
+
+
+class TestProbeCell:
+    """The one local policy step every K-island experiment takes, fed
+    through ``recent`` directly (the simulator never runs)."""
+
+    @staticmethod
+    def cell():
+        island = X86Island(Simulator(), name="isle-0")
+        jitter = RandomStreams(1).stream("probe-0")
+        return ProbeCell(island, jitter, HOT_SLOT, DUTY_SLOTS, 0)
+
+    def test_tune_locally_steps_the_probe_weight_down_to_the_floor(self):
+        cell = self.cell()
+        cell.recent.add(ms(5))
+        assert cell.tune_locally() == ms(5)
+        assert cell.probe.weight == 384
+        assert cell.tunes == 1
+        assert cell.recent.count == 0
+        cell.recent.add(ms(1))
+        assert cell.tune_locally() == ms(1)
+        assert cell.probe.weight == 256
+        assert cell.tunes == 2
+        cell.recent.add(ms(1))
+        cell.tune_locally()
+        assert cell.probe.weight == 256
+        assert cell.tunes == 2
+
+    def test_mean_inside_the_band_applies_nothing(self):
+        cell = self.cell()
+        mean = (LATENCY_LOW + LATENCY_HIGH) / 2
+        cell.recent.add(mean)
+        assert cell.tune_locally() == mean
+        assert cell.probe.weight == 256
+        assert cell.tunes == 0
+        assert cell.island.knobs.last_actuation(EntityId("isle-0", "probe")) is None

@@ -8,7 +8,7 @@ from repro.experiments import (
     render_fabric_sharded,
     sharded_topology,
 )
-from repro.experiments.fabric_sharded import UPLINK_LATENCY, build_fabric_world
+from repro.experiments.fabric_sharded import UPLINK_LATENCY, FabricShardWorld
 from repro.shard import ShardPlan, run_sharded
 from repro.sim import ms, seconds
 
@@ -82,7 +82,7 @@ REGISTER_AT = ms(100)
 def build_registering_world(ctx, cluster):
     """The calm fabric, plus an entity registered on ``cluster`` at
     :data:`REGISTER_AT` by whichever shard owns it."""
-    world = build_fabric_world(ctx, 1, seconds(1), False)
+    world = FabricShardWorld(ctx, 1, seconds(1), False)
     agent = world.agents.get(cluster)
     if agent is not None:
         world.sim.call_at(

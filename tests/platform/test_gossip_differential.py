@@ -1,9 +1,8 @@
 """Differential property test of the gossip directory's anti-entropy.
 
 ``FullScanGossipDirectory`` keeps the full-scan round and exchange that
-:class:`~repro.platform.GossipDirectory` replaced, verbatim: every
-exchange offers every ownership record in both directions and compares
-every peer record against both views. Hypothesis drives it and the
+:class:`~repro.platform.GossipDirectory` replaced: every exchange offers
+every ownership record in both directions. Hypothesis drives it and the
 production class through one schedule of island admissions, new
 registrations, same-island re-registrations, moves, isolate/heal and
 simulation steps. After every step both directories must hold the same
@@ -13,12 +12,12 @@ spreading set must agree with a recount from its views. The explicit
 examples make every branch of the production merge run on every run: a
 heal that leaves one record spreading (offered alone), two records that
 land in one receiver (the in-order scan), and an admission after
-convergence (the peer merge's catch-up pass).
+convergence (every record spreads again).
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.platform import EntityId, GossipDirectory, PeerRecord
+from repro.platform import EntityId, GossipDirectory
 from repro.sim import Simulator, ms
 from repro.x86 import X86Island, X86Params
 
@@ -33,12 +32,6 @@ class FullScanGossipDirectory(GossipDirectory):
         live = [node for node in nodes if node not in self._isolated]
         self.rounds += 1
         for node in live:
-            # Refresh the node's own liveness record, then infect a peer.
-            self._heartbeats[node] += 1
-            self._peer_views[node][node] = PeerRecord(
-                node=node, epoch=self._node_epochs[node],
-                heartbeat=self._heartbeats[node], stamped_at=self.sim.now,
-            )
             peers = [peer for peer in live if peer != node]
             if not peers:
                 continue
@@ -56,12 +49,6 @@ class FullScanGossipDirectory(GossipDirectory):
             self._offer(b, entity, record)
         for entity, record in list(self._views[b].items()):
             self._offer(a, entity, record)
-        for view in (self._peer_views[a], self._peer_views[b]):
-            for node, record in list(view.items()):
-                for other in (self._peer_views[a], self._peer_views[b]):
-                    existing = other.get(node)
-                    if existing is None or record.stamp > existing.stamp:
-                        other[node] = record
 
 
 class World:
@@ -117,7 +104,6 @@ def observe(directory: GossipDirectory) -> tuple:
     """Everything the two exchanges must agree on, insertion order included."""
     return (
         [(node, list(view.items())) for node, view in directory._views.items()],
-        [(node, list(view.items())) for node, view in directory._peer_views.items()],
         directory.message_counts(),
         directory.rounds,
         directory.exchanges,

@@ -2,8 +2,21 @@
 
 import pytest
 
-from repro.platform import CentralDirectory, EntityId, Island, UnknownEntityError, flow_id, vm_id
+from repro.platform import (
+    CentralDirectory,
+    EntityId,
+    Island,
+    Knob,
+    UnknownEntityError,
+    flow_id,
+    vm_id,
+)
 from repro.sim import Simulator
+
+
+def knob():
+    """A stand-in knob: these tests register entities, never actuate them."""
+    return Knob(kind="weight", unit="share", read=lambda: 1, apply=lambda value: value)
 
 
 class RecordingIsland(Island):
@@ -39,24 +52,24 @@ class TestIsland:
     def test_register_and_lookup_entity(self):
         sim = Simulator()
         island = RecordingIsland(sim, "test")
-        entity = object()
-        island.register_entity(EntityId("test", "thing"), entity)
-        assert island.entity(EntityId("test", "thing")) is entity
+        thing = knob()
+        island.register_entity(EntityId("test", "thing"), thing)
+        assert island.knobs.get(EntityId("test", "thing")) is thing
         assert island.has_entity(EntityId("test", "thing"))
         assert not island.has_entity(EntityId("test", "other"))
 
     def test_duplicate_registration_rejected(self):
         sim = Simulator()
         island = RecordingIsland(sim, "test")
-        island.register_entity(EntityId("test", "thing"), object())
+        island.register_entity(EntityId("test", "thing"), knob())
         with pytest.raises(ValueError):
-            island.register_entity(EntityId("test", "thing"), object())
+            island.register_entity(EntityId("test", "thing"), knob())
 
     def test_entities_returns_copy(self):
         sim = Simulator()
         island = RecordingIsland(sim, "test")
-        island.register_entity(EntityId("test", "a"), 1)
-        snapshot = island.entities()
+        island.register_entity(EntityId("test", "a"), knob())
+        snapshot = island.knobs.entities()
         snapshot.clear()
         assert island.has_entity(EntityId("test", "a"))
 
@@ -83,14 +96,14 @@ class TestCentralDirectory:
         island = RecordingIsland(sim, "alpha")
         controller.register_island(island)
         entity = EntityId("alpha", "vm")
-        island.register_entity(entity, object())
+        island.register_entity(entity, knob())
         assert controller.owner_of(entity) is island
 
     def test_pre_registered_entities_learned_at_island_registration(self):
         sim = Simulator()
         island = RecordingIsland(sim, "alpha")
         entity = EntityId("alpha", "early")
-        island.register_entity(entity, object())
+        island.register_entity(entity, knob())
         controller = CentralDirectory(sim)
         controller.register_island(island)
         assert controller.owner_of(entity) is island
@@ -105,8 +118,8 @@ class TestCentralDirectory:
         controller = CentralDirectory(sim)
         island = RecordingIsland(sim, "alpha")
         controller.register_island(island)
-        island.register_entity(EntityId("alpha", "one"), 1)
-        island.register_entity(EntityId("alpha", "two"), 2)
+        island.register_entity(EntityId("alpha", "one"), knob())
+        island.register_entity(EntityId("alpha", "two"), knob())
         assert set(controller.known_entities()) == {
             EntityId("alpha", "one"),
             EntityId("alpha", "two"),
