@@ -83,7 +83,7 @@ class MPlayerClient:
                     # runnable forever.
                     while self._decode_queue.try_get() is not None:
                         self.frames_skipped += 1
-                self._decode_queue.put(entry["bytes"])
+                self._decode_queue.try_put(entry["bytes"])
 
     def _assembly_gc(self):
         while True:

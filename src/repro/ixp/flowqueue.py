@@ -61,7 +61,7 @@ class FlowQueue:
         if self.bytes_queued > self.bytes_high_watermark:
             self.bytes_high_watermark = self.bytes_queued
         self.enqueued += 1
-        self._store.put(packet)
+        self._store.try_put(packet)
         return True
 
     def get(self):

@@ -134,7 +134,12 @@ class Event:
             raise EventAlreadyTriggeredError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay=0)
+        if not self._scheduled:
+            # ``_schedule(self, 0)`` without its keyword call and its
+            # negative-delay check, which cannot fire at delay 0.
+            self._scheduled = True
+            sim = self.sim
+            sim._push(sim._now, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -179,7 +184,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None, name: str = ""):
         if delay < 0:
             raise SchedulingInPastError(f"negative timeout delay {delay}")
-        super().__init__(sim, name=name or f"timeout({delay})")
+        super().__init__(sim, name=name)
         self.delay = delay
         self._ok = True
         self._value = value
@@ -300,7 +305,6 @@ class Simulator:
         self._cursor = start_time >> _WHEEL_SHIFT
         self._heap: list[tuple[int, int, Any]] = []
         self._seq = 0  # tie-breaker giving FIFO order to simultaneous events
-        self._active_process = None  # set by Process while it executes
         self._cancelled_pending = 0  # cancelled entries still queued somewhere
 
     # -- clock -----------------------------------------------------------
@@ -334,11 +338,6 @@ class Simulator:
         from .process import Process  # noqa: PLC0415 — local import to avoid a cycle
 
         return Process(self, generator, name=name)
-
-    @property
-    def active_process(self):
-        """The process currently executing, if the loop is inside one."""
-        return self._active_process
 
     # -- scheduling ------------------------------------------------------
 

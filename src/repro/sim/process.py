@@ -12,20 +12,21 @@ list) per sleep, the process parks a reusable
 :class:`~repro.sim.core._DelayWakeup` token directly on the simulator's
 timer wheel and resumes with ``None``, exactly as ``yield sim.timeout(n)``
 would. Yielding an already-processed successful event parks the same token
-for a zero-delay hop. (For *fixed-period* loops with no other yields,
-prefer :class:`~repro.sim.core.PeriodicTask`, which also skips the
-generator resume per tick.) ``yield n`` and ``yield sim.timeout(n)`` are
-observationally identical — same event ordering, same sequence-number
-consumption, same interrupt semantics — which ``tests/sim/test_fastpath.py``
-asserts pairwise; the int spelling is simply allocation-free. Booleans are
-rejected (``yield True`` is almost certainly a bug, not a 1 ns delay).
+for a zero-delay hop, and a new process starts on it. (For *fixed-period*
+loops with no other yields, prefer :class:`~repro.sim.core.PeriodicTask`,
+which also skips the generator resume per tick.) ``yield n`` and
+``yield sim.timeout(n)`` are observationally identical — same event
+ordering, same sequence-number consumption, same interrupt semantics —
+which ``tests/sim/test_fastpath.py`` asserts pairwise; the int spelling is
+simply allocation-free. Booleans are rejected (``yield True`` is almost
+certainly a bug, not a 1 ns delay).
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from .core import Event, Simulator, _DelayWakeup
+from .core import _PENDING, Event, Simulator, _DelayWakeup
 from .errors import Interrupt, SimulationError
 
 
@@ -51,13 +52,13 @@ class Process(Event):
         #: heap (None while parked there, or before first use).
         self._delay_wakeup: Optional[_DelayWakeup] = None
 
-        # Kick the process off via a zero-delay event so that spawning from
-        # inside another process does not recursively execute it.
-        start = Event(sim, name=f"start:{self.name}")
-        start._ok = True
-        start._value = None
-        sim._schedule(start, delay=0)
-        start.callbacks.append(self._resume)
+        # Kick the process off with a zero-delay sleep on its own delay
+        # token, so that spawning from inside another process does not
+        # recursively execute it. The token takes the sequence number a
+        # start event would, and later delays reuse it; an interrupt
+        # raised in the spawning instant is filed after it, so it still
+        # lands at the first yield.
+        self._arm_delay(0, None)
 
     # -- introspection ---------------------------------------------------
 
@@ -78,7 +79,7 @@ class Process(Event):
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        interrupt_event = Event(self.sim, name=f"interrupt:{self.name}")
+        interrupt_event = Event(self.sim)
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
@@ -90,13 +91,13 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         # Stale wakeup: an interrupt arrived while we waited on a target, or
         # the target fired after an interrupt already moved us on.
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if self._in_fast_delay or (self._target is not None and event is not self._target):
             # Only interrupt events may barge in on a waiting process; any
             # other mismatched wakeup is a stale event firing after an
             # interrupt already moved the process on.
-            if event.ok or not isinstance(event._value, Interrupt):
+            if event._ok or not isinstance(event._value, Interrupt):
                 return
             if self._in_fast_delay:
                 # Abandon the heap-parked token; it is ignored when it pops.
@@ -104,11 +105,11 @@ class Process(Event):
                 self._delay_gen += 1
         self._target = None
 
-        if event.ok:
-            self._step(self._generator.send, event.value)
+        if event._ok:
+            self._step(self._generator.send, event._value)
         else:
-            event.defused()
-            self._step(self._generator.throw, event.value)
+            event._defused = True
+            self._step(self._generator.throw, event._value)
 
     def _delay_fired(self, wakeup: _DelayWakeup) -> None:
         """A heap-parked delay token popped (called by ``Simulator.step``)."""
@@ -127,18 +128,14 @@ class Process(Event):
 
     def _step(self, advance, argument: Any) -> None:
         """Advance the generator one yield and act on what it yields."""
-        previous, self.sim._active_process = self.sim._active_process, self
         try:
             next_target = advance(argument)
         except StopIteration as stop:
-            self.sim._active_process = previous
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = previous
             self.fail(exc)
             return
-        self.sim._active_process = previous
 
         if type(next_target) is int:
             if next_target < 0:
@@ -149,7 +146,19 @@ class Process(Event):
                     )
                 )
                 return
-            self._arm_delay(next_target, None)
+            # ``_arm_delay(next_target, None)``, spelled out: this is the
+            # hottest yield in the platform.
+            wakeup = self._delay_wakeup
+            if wakeup is None:
+                wakeup = _DelayWakeup(self)
+            else:
+                self._delay_wakeup = None
+            self._delay_gen += 1
+            wakeup.gen = self._delay_gen
+            wakeup.value = None
+            self._in_fast_delay = True
+            sim = self.sim
+            sim._push(sim._now + next_target, wakeup)
             return
 
         if not isinstance(next_target, Event):
@@ -181,7 +190,9 @@ class Process(Event):
             next_target.callbacks.append(self._resume)
 
     def _arm_delay(self, delay: int, value: Any) -> None:
-        """Park the process on the heap for ``delay`` ticks."""
+        """Park the process on the heap for ``delay`` ticks (the start of
+        the process, and the zero-delay hop past an already-processed
+        target; ``yield <int>`` inlines this in :meth:`_step`)."""
         wakeup = self._delay_wakeup
         if wakeup is None:
             # Our token is still in the heap from an abandoned delay; a

@@ -67,16 +67,28 @@ class Store(Generic[T]):
 
     def get(self) -> StoreGet:
         """Request one item; the returned event fires with the item."""
-        event = StoreGet(self.sim, name=f"get:{self.name}")
+        event = StoreGet(self.sim)
         self._getters.append(event)
         self._dispatch()
         return event
 
     def try_put(self, item: T) -> bool:
-        """Non-blocking put: False (and no side effect) when full."""
+        """Non-blocking put: False (and no side effect) when full.
+
+        Otherwise the item is stored at once and handed to the oldest
+        waiting getter, exactly as :meth:`put`'s dispatch would, but no
+        :class:`StorePut` is built: nobody can wait on this put, so it
+        files no kernel entry. FIFO order holds on both sides. A store
+        with room has no blocked :meth:`put` (a blocked put means the
+        store is full, and every get re-runs the dispatch that admits
+        it), so this put cannot overtake one; and a waiting getter means
+        the store was empty, so the getter takes this very item.
+        """
         if self.is_full:
             return False
-        self.put(item)
+        self._store_item(item)
+        if self._getters:
+            self._getters.popleft().succeed(self._pop_item())
         return True
 
     def try_get(self) -> Optional[T]:

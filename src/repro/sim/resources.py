@@ -19,7 +19,7 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim, name=f"request:{resource.name}")
+        super().__init__(resource.sim)
         self.resource = resource
 
     def __enter__(self) -> "Request":

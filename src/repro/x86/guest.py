@@ -29,7 +29,7 @@ class WorkItem:
         self.remaining = demand
         self.kind = kind
         #: Fires when the item has received its full demand.
-        self.done: Event = sim.event(name=f"work-done({kind},{demand})")
+        self.done: Event = Event(sim)
         self.enqueued_at = sim.now
         self.started_at: Optional[int] = None
         #: Name of the VCPU currently serving this item (None = unclaimed).

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..sim import Event, Simulator
 from .guest import GuestKernel, WorkItem
-from .vcpu import VCPU
+from .vcpu import VCPU, VCPUState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .credit import CreditScheduler
@@ -63,14 +63,15 @@ class VirtualMachine:
             raise RuntimeError(f"VM {self.name!r} received work before being scheduled")
         # Wake only as many VCPUs as there are unclaimed items: a single
         # serial workload (one kernel thread) must occupy one VCPU, not
-        # keep every VCPU of the domain hot.
-        from .vcpu import VCPUState  # noqa: PLC0415 — avoids cycle at module load
-
-        needed = sum(1 for item in self.guest._items if item.owner is None)
+        # keep every VCPU of the domain hot. The items are counted only
+        # once a blocked VCPU turns up; most arrivals find none.
+        needed = None
         for vcpu in self.vcpus:
-            if needed <= 0:
-                break
             if vcpu.state is VCPUState.BLOCKED:
+                if needed is None:
+                    needed = sum(1 for item in self.guest._items if item.owner is None)
+                if needed <= 0:
+                    break
                 self._scheduler.wake(vcpu)
                 needed -= 1
 

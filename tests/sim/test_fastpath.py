@@ -141,10 +141,11 @@ class TestFastDelaySemantics:
         def proc():
             for _ in range(3):
                 yield 5
-                tokens.append(sim._active_process._delay_wakeup)
+                tokens.append(process._delay_wakeup)
 
-        sim.spawn(proc())
+        process = sim.spawn(proc())
         sim.run()
+        assert isinstance(tokens[0], _DelayWakeup)
         assert len({id(t) for t in tokens}) == 1
 
     def test_interrupt_during_fast_delay(self):

@@ -181,18 +181,71 @@ def test_stale_target_after_interrupt_is_dropped():
     assert resumed == [10, 510]
 
 
-def test_active_process_tracking():
+@pytest.mark.parametrize("spelling", ["int", "timeout"])
+def test_interrupt_in_spawning_instant_lands_at_first_yield(spelling):
+    """A process interrupted before its first step still takes that step,
+    and gets the Interrupt at its first yield, in the same instant."""
     sim = Simulator()
-    observed = []
+    log = []
 
-    def worker(sim):
-        observed.append(sim.active_process)
-        yield sim.timeout(1)
+    def sleeper(sim):
+        log.append(("started", sim.now))
+        try:
+            yield 1_000 if spelling == "int" else sim.timeout(1_000)
+            log.append(("overslept", sim.now))
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause, sim.now))
+        yield 5
+        log.append(("done", sim.now))
 
-    proc = sim.spawn(worker(sim))
+    def spawner(sim):
+        yield 10
+        victim = sim.spawn(sleeper(sim))
+        victim.interrupt("early")
+        log.append(("spawned", sim.now))
+
+    top = sim.spawn(sleeper(sim))
+    top.interrupt("at-zero")
+    sim.spawn(spawner(sim))
     sim.run()
-    assert observed == [proc]
-    assert sim.active_process is None
+    assert log == [
+        ("started", 0), ("interrupted", "at-zero", 0), ("done", 5),
+        ("spawned", 10), ("started", 10), ("interrupted", "early", 10), ("done", 15),
+    ]
+
+
+def test_processes_spawned_in_one_instant_start_in_spawn_order():
+    """A spawn files its first step when it is called: same-instant
+    spawns start in spawn order, interleaved with other zero-delay
+    entries filed between them, and after the spawner yields."""
+    sim = Simulator()
+    order = []
+
+    def worker(name):
+        order.append((sim.now, name))
+        yield 1
+        order.append((sim.now, name + "'"))
+
+    def spawner():
+        yield 10
+        sim.spawn(worker("a"))
+        sim.call_in(0, lambda: order.append((sim.now, "callback")))
+        sim.spawn(worker("b"))
+        ready = sim.event()
+        ready.callbacks.append(lambda _event: order.append((sim.now, "event")))
+        ready.succeed()
+        sim.spawn(worker("c"))
+        order.append((sim.now, "spawner"))
+
+    sim.spawn(worker("x"))
+    sim.spawn(spawner())
+    sim.spawn(worker("y"))
+    sim.run()
+    assert order == [
+        (0, "x"), (0, "y"), (1, "x'"), (1, "y'"),
+        (10, "spawner"), (10, "a"), (10, "callback"), (10, "b"), (10, "event"), (10, "c"),
+        (11, "a'"), (11, "b'"), (11, "c'"),
+    ]
 
 
 def test_many_processes_interleave():

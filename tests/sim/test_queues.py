@@ -178,6 +178,108 @@ class TestStoreWithProcesses:
         assert consumed == list(range(10))
 
 
+def _fire_and_forget_run(use_try_put):
+    """One producer/consumer program; returns ``(log, now, events, puts)``.
+
+    The paired runs differ only in how a put that nobody waits on is
+    spelled: ``store.try_put(x)`` or ``store.put(x)`` with its event
+    dropped. Such puts land on getters that are already waiting, come
+    several to an instant, and fill a bounded store that a slow consumer
+    drains while a producer that yields its puts blocks on it.
+    """
+    sim = Simulator()
+    log = []
+    puts = [0]
+    open_store = Store(sim, name="open")
+    bounded = Store(sim, capacity=3, name="bounded")
+
+    def post(store, item):
+        if store.is_full:
+            return  # a put() here would block; try_put would refuse
+        puts[0] += 1
+        if use_try_put:
+            assert store.try_put(item) is True
+        else:
+            store.put(item)
+
+    def consumer(name, store, pause):
+        while True:
+            item = yield store.get()
+            log.append((sim.now, name, item))
+            if pause:
+                yield pause
+
+    def producer():
+        yield 5
+        post(open_store, "a")  # the fast consumer is waiting
+        post(open_store, "b")  # so is the slow one
+        for i in range(5):
+            post(open_store, i)  # nobody waiting: stored
+        yield 2
+        for i in range(5):
+            post(bounded, ("fill", i))  # fills the bounded store
+        yield 1
+        post(open_store, "late")
+
+    def blocking_producer():
+        yield 8
+        for i in range(4):
+            yield bounded.put(("blocking", i))
+            log.append((sim.now, "blocking-producer", i))
+
+    def topper():
+        yield 9
+        for i in range(30):
+            yield 1
+            post(bounded, ("top", i))
+
+    sim.spawn(consumer("fast", open_store, 0))
+    sim.spawn(consumer("slow", open_store, 3))
+    sim.spawn(consumer("drain", bounded, 4))
+    sim.spawn(producer())
+    sim.spawn(blocking_producer())
+    sim.spawn(topper())
+    sim.run()
+    return log, sim.now, sim.events, puts[0]
+
+
+class TestTryPutSpelling:
+    """``try_put`` and a dropped ``put()`` event are one operation."""
+
+    def test_fire_and_forget_spellings_agree(self):
+        try_log, try_now, try_events, try_puts = _fire_and_forget_run(True)
+        put_log, put_now, put_events, put_puts = _fire_and_forget_run(False)
+        assert try_log == put_log
+        assert try_now == put_now
+        assert try_puts == put_puts
+        # The put event is the only entry that goes; nothing else moves.
+        assert put_events - try_events == try_puts
+        # The program covers what it claims to.
+        assert (5, "fast", "a") in try_log and (5, "slow", "b") in try_log
+        assert try_log.count((5, "fast", 0)) == 1
+        blocked_at = [t for t, name, _ in try_log if name == "blocking-producer"]
+        assert len(blocked_at) == 4 and blocked_at[0] > 8
+        assert any(item == ("fill", 2) for _, _, item in try_log)
+
+    def test_try_put_on_full_store_never_overtakes_blocked_put(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        store.put("first")
+        blocked = store.put("blocked")
+        sim.run()
+        events = sim.events
+        assert store.try_put("late") is False
+        assert list(store.items) == ["first"]
+        assert sim.events == events
+        assert not blocked.triggered
+        gets = [store.get(), store.get()]
+        sim.run()
+        assert [g.value for g in gets] == ["first", "blocked"]
+        assert blocked.triggered
+        assert store.try_put("late") is True
+        assert store.peek() == "late"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(), min_size=1, max_size=40))
 def test_property_store_preserves_fifo(items):
