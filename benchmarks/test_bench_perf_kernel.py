@@ -20,18 +20,25 @@ Every variant pair must agree exactly on final virtual time and event
 count — both optimisations are pure mechanics, asserted here and in
 ``tests/sim/test_fastpath.py`` / ``tests/sim/test_timerwheel.py``.
 
+Each scenario runs ``ROUNDS`` interleaved rounds, one run of every variant
+per round, alternating which variant runs first. Each ratio is the median
+of its per-round ratios: a ratio taken from a single back-to-back pair
+moves with whatever the host does during either run.
+
 **Ratchet:** ``benchmarks/baseline_kernel.json`` commits the speedup
 *ratios* (machine-independent, unlike raw events/sec) and each bench
-fails if a measured ratio drops below ``RATCHET_FRACTION`` of its
+fails if a median ratio drops below ``RATCHET_FRACTION`` of its
 baseline — CI runs these jobs gating, so a kernel change that erodes
 either fast path by >20% cannot merge unnoticed.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -44,6 +51,8 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline_kernel.json"
 #: A measured ratio below this fraction of its committed baseline fails.
 RATCHET_FRACTION = 0.8
+#: Interleaved rounds per scenario; each ratio is the median over them.
+ROUNDS = 9
 
 NUM_SLEEPERS = 50
 SLEEPS_PER_PROC = 4_000
@@ -63,6 +72,29 @@ def _check_ratchet(name: str, measured: float) -> None:
         f"perf ratchet: {name} = {measured:.2f}x fell below "
         f"{floor:.2f}x ({RATCHET_FRACTION:.0%} of committed {baselines[name]:.2f}x)"
     )
+
+
+def _interleaved(measure, variants: tuple) -> list[dict]:
+    """``ROUNDS`` rounds of ``{variant: measure(variant)}``, the run order
+    reversed on every other round."""
+    rounds = []
+    for index in range(ROUNDS):
+        order = variants if index % 2 == 0 else variants[::-1]
+        runs = {}
+        for variant in order:
+            # Free the previous run's world first, so its cyclic garbage
+            # is not collected inside this run's timed region.
+            gc.collect()
+            runs[variant] = measure(variant)
+        rounds.append(runs)
+    return rounds
+
+
+def _median_run(runs: list[dict]) -> dict:
+    return {
+        "seconds": round(statistics.median(run["seconds"] for run in runs), 4),
+        "events_per_sec": round(statistics.median(run["events_per_sec"] for run in runs)),
+    }
 
 
 def _merge_result(section: str, payload: dict) -> None:
@@ -154,16 +186,17 @@ def _measure(fastpath: bool) -> dict:
 
 
 def test_bench_perf_kernel():
-    # Warm caches/allocator once, then measure each variant.
-    _measure(True)
-    classic = _measure(False)
-    fast = _measure(True)
+    _measure(True)  # warm caches/allocator
+    rounds = _interleaved(_measure, (False, True))
+    for runs in rounds:
+        classic, fast = runs[False], runs[True]
+        # The fast path must be an *identical* simulation, only cheaper.
+        assert fast["events"] == classic["events"]
+        assert fast["final_time"] == classic["final_time"]
 
-    # The fast path must be an *identical* simulation, only cheaper.
-    assert fast["events"] == classic["events"]
-    assert fast["final_time"] == classic["final_time"]
-
-    speedup = fast["events_per_sec"] / classic["events_per_sec"]
+    ratios = [runs[True]["events_per_sec"] / runs[False]["events_per_sec"] for runs in rounds]
+    speedup = statistics.median(ratios)
+    fast = rounds[0][True]
     result = {
         "workload": {
             "sleepers": NUM_SLEEPERS,
@@ -174,15 +207,11 @@ def test_bench_perf_kernel():
         },
         "events": fast["events"],
         "final_virtual_time_ns": fast["final_time"],
-        "classic": {
-            "seconds": round(classic["seconds"], 4),
-            "events_per_sec": round(classic["events_per_sec"]),
-        },
-        "fastpath": {
-            "seconds": round(fast["seconds"], 4),
-            "events_per_sec": round(fast["events_per_sec"]),
-        },
+        "rounds": ROUNDS,
+        "classic": _median_run([runs[False] for runs in rounds]),
+        "fastpath": _median_run([runs[True] for runs in rounds]),
         "speedup": round(speedup, 3),
+        "speedup_per_round": [round(ratio, 3) for ratio in ratios],
     }
     _merge_result("mixed", result)
     print(f"\nkernel bench [mixed]: {result['fastpath']['events_per_sec']} ev/s fast "
@@ -278,37 +307,37 @@ def _measure_periodic(idiom: str) -> dict:
 
 def test_bench_perf_kernel_periodic():
     _measure_periodic("task")  # warm caches/allocator
-    generator = _measure_periodic("generator")
-    heap = _measure_periodic("heap")
-    wheel = _measure_periodic("task")
+    # The wheel runs between its two baselines, so each ratio it enters
+    # divides two back-to-back runs.
+    rounds = _interleaved(_measure_periodic, ("generator", "task", "heap"))
+    for runs in rounds:
+        generator, heap, wheel = runs["generator"], runs["heap"], runs["task"]
+        # All three are the same simulation: identical tick counts, same end.
+        assert wheel["events"] == generator["events"] == heap["events"]
+        assert wheel["final_time"] == generator["final_time"] == heap["final_time"]
 
-    # All three are the same simulation: identical tick counts, same end.
-    assert wheel["events"] == generator["events"] == heap["events"]
-    assert wheel["final_time"] == generator["final_time"] == heap["final_time"]
+    def ratios(baseline):
+        return [runs["task"]["events_per_sec"] / runs[baseline]["events_per_sec"]
+                for runs in rounds]
 
-    vs_generator = wheel["events_per_sec"] / generator["events_per_sec"]
-    vs_heap = wheel["events_per_sec"] / heap["events_per_sec"]
+    vs_generator_rounds, vs_heap_rounds = ratios("generator"), ratios("heap")
+    vs_generator = statistics.median(vs_generator_rounds)
+    vs_heap = statistics.median(vs_heap_rounds)
     result = {
         "workload": {
             "periodic_tasks": NUM_PERIODIC,
             "virtual_duration_ns": PERIODIC_DURATION,
             "seed": SEED,
         },
-        "events": wheel["events"],
-        "generator_idiom": {
-            "seconds": round(generator["seconds"], 4),
-            "events_per_sec": round(generator["events_per_sec"]),
-        },
-        "periodic_heap": {
-            "seconds": round(heap["seconds"], 4),
-            "events_per_sec": round(heap["events_per_sec"]),
-        },
-        "periodic_wheel": {
-            "seconds": round(wheel["seconds"], 4),
-            "events_per_sec": round(wheel["events_per_sec"]),
-        },
+        "events": rounds[0]["task"]["events"],
+        "rounds": ROUNDS,
+        "generator_idiom": _median_run([runs["generator"] for runs in rounds]),
+        "periodic_heap": _median_run([runs["heap"] for runs in rounds]),
+        "periodic_wheel": _median_run([runs["task"] for runs in rounds]),
         "speedup_vs_generator": round(vs_generator, 3),
         "speedup_vs_heap": round(vs_heap, 3),
+        "speedup_vs_generator_per_round": [round(ratio, 3) for ratio in vs_generator_rounds],
+        "speedup_vs_heap_per_round": [round(ratio, 3) for ratio in vs_heap_rounds],
     }
     _merge_result("periodic", result)
     print(f"\nkernel bench [periodic]: {result['periodic_wheel']['events_per_sec']} ev/s wheel "

@@ -8,7 +8,6 @@ from .agent import (
     tune_coalesce_merge,
 )
 from .buffer_monitor import DEFAULT_THRESHOLD_BYTES, BufferMonitorTriggerPolicy
-from .coschedule import GpuCoschedulePolicy
 from .energy_policy import (
     ENERGY_QOS_MODES,
     MIN_PREDICTED_GAIN,
@@ -33,7 +32,6 @@ __all__ = [
     "CoordinationMessage",
     "ENERGY_QOS_MODES",
     "EnergyQosGovernor",
-    "GpuCoschedulePolicy",
     "DEFAULT_THRESHOLD_BYTES",
     "MIN_PREDICTED_GAIN",
     "QosTarget",

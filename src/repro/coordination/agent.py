@@ -96,7 +96,7 @@ class CoordinationAgent:
         self.triggers_applied = 0
         self.unknown_entities = 0
         #: Triggers addressed to entities whose knob cannot boost (e.g.
-        #: ``mem:<vm>``): counted and traced, never fatal to the run.
+        #: ``disk:<vm>``): counted and traced, never fatal to the run.
         self.unsupported_triggers = 0
         #: Applied messages whose ``sent_at`` was the -1 sentinel (built
         #: outside an agent): skipped from ``apply_latencies``, not lost.
@@ -380,8 +380,8 @@ class CoordinationAgent:
             try:
                 self.island.apply_trigger(message.entity, span=span)
             except KnobError:
-                # A Trigger addressed to a non-boostable entity (a balloon
-                # target, an egress queue, ...) is a policy mistake, not a
+                # A Trigger addressed to a non-boostable entity (an I/O
+                # queue weight, an LLC partition, ...) is a policy mistake, not a
                 # platform fault: account it and keep the simulation alive.
                 # The knob registry already emitted the unsupported-trigger
                 # trace record and audited the rejection.

@@ -1,9 +1,8 @@
 """The fault injector: replays a :class:`FaultPlan` against the platform.
 
 All injection happens at scripted simulation times via ``sim.call_at``;
-the injector draws no randomness at fire time (randomised plans are fully
-drawn at construction, see :meth:`FaultPlan.random_blackouts`), so a plan
-plus a seed reproduces the exact same failure sequence.
+the injector draws no randomness at fire time, so a plan plus a seed
+reproduces the exact same failure sequence.
 
 Mechanics per event kind:
 

@@ -5,10 +5,7 @@ same seed and plan must produce the same blackout, the same detection
 timeline, and the same recovery — across runs and across simulator fast
 path modes. A :class:`FaultPlan` is therefore a frozen tuple of scripted
 events with absolute simulation-time stamps; nothing fires from wall
-clock or ambient randomness. Randomised plans are built *up front* from a
-named :class:`~repro.sim.RandomStreams` child stream
-(:meth:`FaultPlan.random_blackouts`), so generating the plan never
-perturbs any other stream in the run.
+clock or ambient randomness.
 
 Event vocabulary (mirrors the failure modes of the prototype):
 
@@ -31,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..sim import RandomStreams, ms
+from ..sim import ms
 
 #: The classic ``direction`` values of a :class:`ChannelBlackout` on the
 #: two-island prototype: block both senders, or just one (a one-way
@@ -143,54 +140,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-
-    @classmethod
-    def random_blackouts(
-        cls,
-        streams: RandomStreams,
-        *,
-        window_start: int,
-        window_end: int,
-        count: int,
-        mean_duration: int,
-        direction: str = "both",
-        stream_name: str = "fault-plan",
-    ) -> "FaultPlan":
-        """Draw ``count`` non-overlapping blackouts inside a window.
-
-        All randomness comes from the named child stream, drawn *now*, so
-        the plan is fixed before the run starts and consuming it never
-        perturbs workload or channel streams. Durations are exponential
-        around ``mean_duration`` (floored at 1 ms); starts are uniform and
-        re-drawn (bounded attempts) to avoid overlap.
-        """
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if window_end <= window_start:
-            raise ValueError("window_end must be after window_start")
-        rng = streams.stream(stream_name)
-        taken: list[tuple[int, int]] = []
-        events = []
-        for _ in range(count):
-            for _attempt in range(64):
-                duration = max(ms(1), int(rng.expovariate(1.0 / mean_duration)))
-                start = int(rng.uniform(window_start, max(window_start, window_end - duration)))
-                end = start + duration
-                if all(end <= s or start >= e for s, e in taken):
-                    taken.append((start, end))
-                    events.append(ChannelBlackout(start=start, duration=duration,
-                                                  direction=direction))
-                    break
-        events.sort(key=lambda e: e.start)
-        return cls(events=tuple(events))
-
-    def blackout_windows(self) -> list[tuple[int, int]]:
-        """(start, end) of every scripted blackout, in start order."""
-        return sorted(
-            (event.start, event.end)
-            for event in self.events
-            if isinstance(event, ChannelBlackout)
-        )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -2,7 +2,6 @@
 
 from .classifier import Classifier, ClassifierRule, classify_by_destination, make_payload_field_rule
 from .dequeue import WeightedDequeuer
-from .egress import EgressQueue, EgressScheduler, classify_by_source
 from .flowqueue import FlowQueue
 from .island import IXPIsland
 from .memory import BufferPool, MemoryHierarchy
@@ -28,10 +27,7 @@ __all__ = [
     "RxPipeline",
     "ScratchRing",
     "TwoStageRxPipeline",
-    "EgressQueue",
-    "EgressScheduler",
     "HardwareSignal",
-    "classify_by_source",
     "TxPipeline",
     "WeightedDequeuer",
     "XScaleCore",

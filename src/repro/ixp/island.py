@@ -19,7 +19,6 @@ from ..interconnect import ChannelEndpoint, MessageRing, PCIeBus
 from ..net import Link, Packet
 from .classifier import Classifier
 from .dequeue import WeightedDequeuer
-from .egress import EgressScheduler
 from .flowqueue import FlowQueue
 from .memory import BufferPool, MemoryHierarchy
 from .microengine import Microengine
@@ -210,43 +209,3 @@ class IXPIsland(Island):
     def add_classified_hook(self, hook: ClassifiedHook) -> None:
         """Observe every classified packet (IXP-side policy tap)."""
         self.rx.add_classified_hook(hook)
-
-    # -- egress QoS (Figure 3's Tx classifier/scheduler) -----------------------
-
-    def enable_egress_qos(self) -> EgressScheduler:
-        """Insert the weighted egress scheduler on the transmit path.
-
-        Outbound packets are classified per source VM and served by
-        weight, optionally rate-capped — "control the ingress and egress
-        network bandwidth seen by the VM" (§2.1). Egress flows register
-        as tunable entities ``egress:<vm>``.
-        """
-        if self.tx is None:
-            raise RuntimeError("attach_host() must be called before enabling egress QoS")
-        if getattr(self, "egress", None) is not None:
-            raise RuntimeError("egress QoS already enabled")
-        self.egress = EgressScheduler(self.sim, self.tx.send_to_wire, tracer=self.tracer)
-        self.tx.egress = self.egress
-        return self.egress
-
-    def register_egress_flow(self, vm_name: str, weight: int = 1,
-                             rate_bytes_per_s: int = 0):
-        """Create (and expose for Tunes) a VM's egress queue."""
-        if getattr(self, "egress", None) is None:
-            raise RuntimeError("egress QoS is not enabled")
-        queue = self.egress.register_flow(vm_name, weight=weight,
-                                          rate_bytes_per_s=rate_bytes_per_s)
-        self.register_entity(
-            EntityId(self.name, f"egress:{vm_name}"),
-            knob=weight_knob(
-                kind="egress-weight",
-                unit="share",
-                read=lambda queue=queue: queue.weight,
-                apply=lambda value, name=vm_name: self._set_egress_weight(name, value),
-            ),
-        )
-        return queue
-
-    def _set_egress_weight(self, vm_name: str, value: float) -> int:
-        self.egress.set_weight(vm_name, int(value))
-        return self.egress.queues[vm_name].weight

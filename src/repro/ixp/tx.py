@@ -39,9 +39,6 @@ class TxPipeline:
         self.port_resolver = port_resolver
         self.params = params
         self.tracer = tracer or Tracer(sim, enabled=False)
-        #: When set, packets are handed to the egress QoS scheduler (the
-        #: Figure 3 Tx classifier/scheduler) instead of the wire directly.
-        self.egress = None
         self.transmitted = 0
         self.unroutable = 0
         for thread in threads:
@@ -64,7 +61,4 @@ class TxPipeline:
             yield from thread.compute(self.params.tx_cycles)
             yield from thread.mem("dram")
             packet.stamp("ixp-tx", self.sim.now)
-            if self.egress is not None:
-                self.egress.submit(packet)
-            else:
-                self.send_to_wire(packet)
+            self.send_to_wire(packet)

@@ -1,7 +1,6 @@
 """Measurement: summary statistics, CPU sampling, response-time recording
 and the paper's platform-efficiency metric."""
 
-from .breakdown import RX_PATH_STAGES, LatencyBreakdown, StageStats
 from .collector import (
     CpuUtilizationSampler,
     UtilizationSample,
@@ -24,9 +23,6 @@ __all__ = [
     "EnergyQosCollector",
     "QosCheck",
     "WindowedQosSource",
-    "LatencyBreakdown",
-    "RX_PATH_STAGES",
-    "StageStats",
     "OnlineStats",
     "ResponseTimeRecorder",
     "RunInterval",

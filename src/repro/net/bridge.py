@@ -55,10 +55,6 @@ class XenBridge:
         """Where packets for unknown destinations go (the IXP ViF TX)."""
         self._uplink = uplink
 
-    def ports(self) -> dict[str, VirtualNIC]:
-        """Copy of the forwarding table."""
-        return dict(self._ports)
-
     # -- data path ----------------------------------------------------------------
 
     def submit(self, packet: Packet) -> None:

@@ -21,7 +21,7 @@ from .directory import (
     build_directory,
 )
 from .fabric import DEFAULT_LINK_LATENCY, ClusterSpec, FabricTopology
-from .identity import EntityId, flow_id, vm_id
+from .identity import EntityId, flow_id
 from .island import Island
 from .knobs import (
     ACTUATION_TRACE_KINDS,
@@ -59,6 +59,5 @@ __all__ = [
     "UnsupportedTriggerError",
     "build_directory",
     "flow_id",
-    "vm_id",
     "weight_knob",
 ]

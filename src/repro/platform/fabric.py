@@ -26,7 +26,7 @@ Three canonical shapes, one per coordination style:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import ms, us

@@ -22,11 +22,6 @@ class EntityId:
         return f"{self.island}/{self.local_name}"
 
 
-def vm_id(name: str, island: str = "x86") -> EntityId:
-    """Identifier for a virtual machine on the x86 island."""
-    return EntityId(island=island, local_name=name)
-
-
 def flow_id(name: str, island: str = "ixp") -> EntityId:
     """Identifier for a classified flow queue on the IXP island."""
     return EntityId(island=island, local_name=name)

@@ -23,12 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class Island:
     """A resource domain with its own manager and native control knobs.
 
-    Concrete islands (x86/Xen, IXP, GPU) register a typed
+    Concrete islands (x86/Xen, IXP) register a typed
     :class:`~repro.platform.knobs.Knob` per coordination entity; the two
     standard mechanisms — Tune and Trigger — dispatch over that registry
     into whatever the local scheduler understands: credit-weight
     adjustments for Xen, service weights and poll intervals for the IXP
-    runtime, runlist weights for a GPU (paper §3.3). Subclasses with
+    runtime (paper §3.3). Subclasses with
     non-knob semantics may still override :meth:`apply_tune` /
     :meth:`apply_trigger` directly.
     """

@@ -16,7 +16,7 @@ Design rules:
 * A Tune is always relative: ``delta`` coordination units scale by the
   knob's ``step`` into native units and move the knob from its current
   value, clamped into ``[minimum, maximum]``. The ``apply`` callback may
-  clamp further (e.g. a balloon bounded by free physical memory) and
+  clamp further (e.g. an LLC partition bounded by the free ways) and
   returns the value that actually took effect.
 * A Trigger is either a **pulse** (fire-and-forget, e.g. a Xen runqueue
   boost) or a **lease**: the first acquisition captures the knob's
@@ -64,7 +64,7 @@ class UnknownKnobError(KnobError, KeyError):
 
 
 class UnsupportedTriggerError(KnobError, TypeError):
-    """The entity's knob has no trigger capability (e.g. ``mem:<vm>``).
+    """The entity's knob has no trigger capability (e.g. ``disk:<vm>``).
 
     Subclasses :class:`TypeError` for continuity with the pre-registry
     translation layer, which raised ``TypeError`` from type sniffing.
@@ -77,7 +77,7 @@ class TriggerSpec:
 
     Exactly one flavour is set:
 
-    * ``pulse`` — a one-shot native action (runqueue boost, runlist jump);
+    * ``pulse`` — a one-shot native action (runqueue boost, DVFS to nominal);
       nothing to restore, so no lease is taken.
     * ``boost`` + ``hold`` — a lease: ``boost(value)`` computes the next
       boost level from the current one, held for ``hold`` nanoseconds and
@@ -150,25 +150,6 @@ class ActuationRecord:
     #: layer stays import-free of the observability package). None for
     #: local/untraced actuations — the zero-cost default.
     span: Optional[Any] = None
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-dict form (stable keys, for reports and JSON dumps)."""
-        return {
-            "seq": self.seq,
-            "time": self.time,
-            "island": self.island,
-            "entity": self.entity,
-            "kind": self.kind,
-            "op": self.op,
-            "requested_delta": self.requested_delta,
-            "requested_value": self.requested_value,
-            "previous_value": self.previous_value,
-            "applied_value": self.applied_value,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "trace_id": self.span.trace_id if self.span is not None else None,
-            "span_id": self.span.span_id if self.span is not None else None,
-        }
 
 
 class _LeaseState:

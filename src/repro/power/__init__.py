@@ -13,23 +13,14 @@ from .governor import (
     PowerReportMessage,
 )
 from .meter import PowerMeter, PowerSample
-from .model import (
-    DVFS_LEVELS,
-    CorePowerModel,
-    IXPPowerModel,
-    next_level_down,
-    next_level_up,
-)
+from .model import CorePowerModel, IXPPowerModel
 
 __all__ = [
     "CoordinatedPowerCapGovernor",
     "CorePowerModel",
-    "DVFS_LEVELS",
     "IXPPowerModel",
     "LocalPowerCapGovernor",
     "PowerMeter",
     "PowerReportMessage",
     "PowerSample",
-    "next_level_down",
-    "next_level_up",
 ]

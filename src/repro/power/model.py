@@ -69,18 +69,3 @@ class IXPPowerModel:
         dynamic = sum(self.per_engine_w * min(1.0, max(0.0, u)) for u in engine_utilizations)
         return self.base_w + dynamic
 
-
-#: Conventional DVFS ladder (fractions of nominal frequency).
-DVFS_LEVELS = (1.0, 0.85, 0.7, 0.55)
-
-
-def next_level_down(speed: float, levels=DVFS_LEVELS) -> float:
-    """The next lower DVFS level (or the floor if already there)."""
-    below = [lv for lv in levels if lv < speed - 1e-9]
-    return max(below) if below else levels[-1]
-
-
-def next_level_up(speed: float, levels=DVFS_LEVELS) -> float:
-    """The next higher DVFS level (or nominal if already there)."""
-    above = [lv for lv in levels if lv > speed + 1e-9]
-    return min(above) if above else levels[0]

@@ -6,7 +6,7 @@ named random streams, and structured tracing. Everything else in
 :mod:`repro` is built on these primitives.
 """
 
-from .core import Condition, Event, PeriodicTask, Simulator, Timeout, all_of, any_of
+from .core import Event, PeriodicTask, Simulator, Timeout
 from .errors import (
     EventAlreadyTriggeredError,
     Interrupt,
@@ -15,7 +15,7 @@ from .errors import (
     StopSimulation,
 )
 from .process import Process
-from .queues import PriorityItem, PriorityStore, Store, StoreGet, StorePut
+from .queues import Store, StoreGet, StorePut
 from .resources import Request, Resource
 from .rng import RandomStream, RandomStreams
 from .time import (
@@ -27,13 +27,11 @@ from .time import (
     seconds,
     to_ms,
     to_seconds,
-    to_us,
     us,
 )
 from .tracing import TraceLog, TraceRecord, Tracer
 
 __all__ = [
-    "Condition",
     "Event",
     "EventAlreadyTriggeredError",
     "Interrupt",
@@ -41,8 +39,6 @@ __all__ = [
     "NS_PER_S",
     "NS_PER_US",
     "PeriodicTask",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "RandomStream",
     "RandomStreams",
@@ -59,13 +55,10 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "Tracer",
-    "all_of",
-    "any_of",
     "ms",
     "ns",
     "seconds",
     "to_ms",
     "to_seconds",
-    "to_us",
     "us",
 ]

@@ -22,7 +22,7 @@ experiments built on this kernel compute.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from .errors import (
     EventAlreadyTriggeredError,
@@ -153,23 +153,6 @@ class Event:
         self.sim._schedule(self, delay=0)
         return self
 
-    def defused(self) -> None:
-        """Mark a failed event as handled so it does not crash the run.
-
-        The simulator re-raises the exception of any failed event that fires
-        with nobody having handled it. Condition events and processes defuse
-        the failures they absorb.
-        """
-        self._defused = True
-
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.sim, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.sim, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         label = self.name or self.__class__.__name__
@@ -205,77 +188,6 @@ class Timeout(Event):
             self._cancelled = True
             self.sim._note_cancelled()
         return True
-
-
-class Condition(Event):
-    """Composite event: fires when ``evaluate`` says enough children fired.
-
-    Used through the ``&`` / ``|`` operators on events or the
-    :func:`all_of` / :func:`any_of` helpers. The condition's value is a dict
-    mapping each *triggered* child event to its value.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(sim, name="condition")
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.sim is not sim:
-                raise ValueError("cannot mix events from different simulators")
-
-        if not self._events:
-            # Vacuous truth: a condition over no events fires immediately.
-            self.succeed({})
-            return
-
-        # Immediately check already-processed children, then subscribe.
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict[Event, Any]:
-        return {e: e.value for e in self._events if e.triggered}
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event.ok:
-            event.defused()
-            self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        """Evaluator: fire once every child has fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        """Evaluator: fire as soon as one child fires."""
-        return count > 0 or not events
-
-
-def all_of(sim: "Simulator", events: Iterable[Event]) -> Condition:
-    """Event that fires when *all* of ``events`` have fired."""
-    return Condition(sim, Condition.all_events, events)
-
-
-def any_of(sim: "Simulator", events: Iterable[Event]) -> Condition:
-    """Event that fires when *any* of ``events`` has fired."""
-    return Condition(sim, Condition.any_events, events)
 
 
 class Simulator:

@@ -2,13 +2,11 @@
 
 A :class:`Store` is an unbounded-or-bounded FIFO of arbitrary items.
 ``put``/``get`` return events, so processes block naturally when the store is
-full/empty. :class:`PriorityStore` dequeues the smallest item first, which
-the IXP model uses for weighted packet-queue service.
+full/empty.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Generic, Optional, TypeVar
 
@@ -86,9 +84,9 @@ class Store(Generic[T]):
         """
         if self.is_full:
             return False
-        self._store_item(item)
+        self.items.append(item)
         if self._getters:
-            self._getters.popleft().succeed(self._pop_item())
+            self._getters.popleft().succeed(self.items.popleft())
         return True
 
     def try_get(self) -> Optional[T]:
@@ -96,7 +94,7 @@ class Store(Generic[T]):
         if not self.items:
             return None
         # Serve through the normal path so queued putters are admitted.
-        item = self._pop_item()
+        item = self.items.popleft()
         self._dispatch()
         return item
 
@@ -114,12 +112,6 @@ class Store(Generic[T]):
 
     # -- internals --------------------------------------------------------
 
-    def _store_item(self, item: T) -> None:
-        self.items.append(item)
-
-    def _pop_item(self) -> T:
-        return self.items.popleft()
-
     def _dispatch(self) -> None:
         """Admit pending puts while room, satisfy pending gets while items."""
         progressed = True
@@ -127,51 +119,10 @@ class Store(Generic[T]):
             progressed = False
             while self._putters and not self.is_full:
                 put = self._putters.popleft()
-                self._store_item(put.item)
+                self.items.append(put.item)
                 put.succeed()
                 progressed = True
             while self._getters and self.items:
                 get = self._getters.popleft()
-                get.succeed(self._pop_item())
+                get.succeed(self.items.popleft())
                 progressed = True
-
-
-class PriorityStore(Store[T]):
-    """Store that always yields the smallest item (heap order).
-
-    Items must be comparable; wrap them in :class:`PriorityItem` when the
-    payload itself is not.
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        super().__init__(sim, capacity=capacity, name=name or "priority-store")
-        self._heap: list[T] = []
-        self.items = self._heap  # type: ignore[assignment] # len()/truthiness only
-
-    def _store_item(self, item: T) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _pop_item(self) -> T:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[T]:
-        return self._heap[0] if self._heap else None
-
-
-class PriorityItem:
-    """Orderable wrapper pairing a sort key with an arbitrary payload."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any):
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PriorityItem) and self.priority == other.priority
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"

@@ -69,11 +69,5 @@ class RandomStreams:
         self._children[name] = child
         return child
 
-    def fork(self, name: str) -> "RandomStreams":
-        """A nested family of streams under a sub-namespace."""
-        material = f"{self.seed}:{name}"
-        sub_seed = int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
-        return RandomStreams(sub_seed)
-
     def __repr__(self) -> str:
         return f"<RandomStreams seed={self.seed} children={sorted(self._children)}>"

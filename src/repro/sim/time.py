@@ -36,11 +36,6 @@ def seconds(value: float) -> int:
     return round(value * NS_PER_S)
 
 
-def to_us(ticks: int) -> float:
-    """Clock ticks -> microseconds (float)."""
-    return ticks / NS_PER_US
-
-
 def to_ms(ticks: int) -> float:
     """Clock ticks -> milliseconds (float)."""
     return ticks / NS_PER_MS

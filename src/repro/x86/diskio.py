@@ -105,10 +105,6 @@ class WeightedIOScheduler:
         self.tracer.emit("io-sched", "weight", vm=vm_name, weight=queue.weight)
         return queue.weight
 
-    def adjust_weight(self, vm_name: str, delta: int) -> int:
-        """Tune translation: shift a VM's I/O weight; returns the result."""
-        return self.set_weight(vm_name, self.queues[vm_name].weight + delta)
-
     def set_poll_interval(self, interval: int) -> None:
         """Tune translation: adjust the dispatcher's poll time."""
         if interval < 0:

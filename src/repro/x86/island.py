@@ -10,7 +10,6 @@ into its native controls:
 * **Trigger(vm)**             -> runqueue boost (pulse);
 * **Tune(disk:vm, ±delta)**   -> disk DRR weight;
 * **Tune(disk, ±delta µs)**   -> I/O dispatcher poll interval;
-* **Tune(mem:vm, ±delta MB)** -> balloon allocation;
 * **Tune(dvfs, ±steps)**      -> platform DVFS ladder level;
 * **Tune(llc:vm, ±ways)**     -> exclusive LLC way partition;
 * **Tune(bw:vm, ±share)**     -> memory-bandwidth share;
@@ -26,7 +25,6 @@ from ..sim import Simulator, Tracer
 from .credit import CreditScheduler
 from .diskio import DiskInterface, WeightedIOScheduler
 from .llc import MAX_BW_SHARE, MemoryProfile, MemorySystem
-from .memory import BalloonDriver
 from .params import X86Params
 from .vm import VirtualMachine
 from .xenctrl import MAX_WEIGHT, MIN_WEIGHT, XenCtl
@@ -106,7 +104,7 @@ class X86Island(Island):
     # -- domain lifecycle ---------------------------------------------------
 
     def create_vm(
-        self, name: str, weight: Optional[int] = None, num_vcpus: int = 1, memory_mb: int = 256
+        self, name: str, weight: Optional[int] = None, num_vcpus: int = 1
     ) -> VirtualMachine:
         """Boot a guest domain and register it for coordination."""
         if name in self._vms:
@@ -116,7 +114,6 @@ class X86Island(Island):
             name,
             weight=weight if weight is not None else self.params.credit.default_weight,
             num_vcpus=num_vcpus,
-            memory_mb=memory_mb,
         )
         self.scheduler.add_domain(vm)
         self._vms[name] = vm
@@ -267,31 +264,4 @@ class X86Island(Island):
         self.tracer.emit(
             self.name, "memory-managed", vm=name,
             ways=system.ways(name), bw_share=system.bw_share(name),
-        )
-
-    # -- optional balloon driver ----------------------------------------------
-
-    def attach_balloon(self, driver: BalloonDriver) -> None:
-        """Attach a :class:`~repro.x86.memory.BalloonDriver`."""
-        self.balloon = driver
-
-    def balloon_manage(self, vm: VirtualMachine, working_set_mb=None) -> None:
-        """Put a domain under balloon management and expose its memory
-        allocation as the tunable entity ``mem:<vm>`` (delta in MB)."""
-        if getattr(self, "balloon", None) is None:
-            raise RuntimeError("no balloon driver attached to this island")
-        self.balloon.manage(vm, working_set_mb)
-        self.register_entity(
-            EntityId(self.name, f"mem:{vm.name}"),
-            knob=Knob(
-                kind="memory-allocation",
-                unit="MB",
-                read=lambda vm=vm: vm.memory_mb,
-                # adjust() enforces the dynamic ceiling (free physical
-                # memory), so the knob only pins the static floor.
-                apply=lambda value, vm=vm: self.balloon.adjust(
-                    vm.name, int(value) - vm.memory_mb
-                ),
-                minimum=self.balloon.min_allocation_mb,
-            ),
         )

@@ -18,8 +18,8 @@ cache + bandwidth partitioning + prefetch throttling):
   while bandwidth is plentiful but *wastes* bandwidth when the pipe is
   contended — the CBP throttling trade-off.
 
-The model folds into execution exactly like paging pressure does: a
-service-time multiplier applied to submitted CPU demand
+The model folds into execution as a service-time multiplier applied to
+submitted CPU demand
 (:attr:`~repro.x86.vm.VirtualMachine.demand_inflation`). The memory-bound
 component is scaled by the current DVFS speed before being added, so in
 *wall-clock* terms memory stalls are frequency-invariant: lowering the
@@ -36,6 +36,7 @@ bit-identically to a build without this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..sim import Tracer
@@ -116,14 +117,11 @@ class MemorySystemParams:
 class _DomainState:
     """Mutable per-domain allocation state."""
 
-    vm: VirtualMachine
     profile: MemoryProfile
     ways: int
     bw_share: int
     #: Prefetch throttle percent: 0 = fully aggressive, 100 = prefetch off.
     prefetch_throttle: int
-    #: Inflation chained from a previously-installed hook (ballooning).
-    chained: Optional[Callable[[], float]] = None
 
 
 class MemorySystem:
@@ -167,33 +165,19 @@ class MemorySystem:
         ``ways`` is the initial exclusive LLC partition (clamped to what
         is free), ``bw_share`` the relative bandwidth share, and
         ``prefetch_throttle`` the initial prefetcher throttle percent.
-        Any previously-installed ``demand_inflation`` hook (the balloon
-        driver's paging pressure) keeps applying multiplicatively.
         """
         if vm.name in self._domains:
             raise ValueError(f"domain {vm.name!r} already memory-managed")
         if self.free_ways < 1:
             raise ValueError("no LLC ways left to allocate")
         ways = max(1, min(ways, self.free_ways))
-        state = _DomainState(
-            vm=vm,
+        self._domains[vm.name] = _DomainState(
             profile=profile or MemoryProfile(),
             ways=ways,
             bw_share=max(1, min(MAX_BW_SHARE, bw_share)),
             prefetch_throttle=max(0, min(100, prefetch_throttle)),
-            chained=vm.demand_inflation,
         )
-        self._domains[vm.name] = state
-        vm.demand_inflation = self._make_inflation(state)
-
-    def _make_inflation(self, state: _DomainState):
-        def inflation() -> float:
-            factor = self.inflation(state.vm.name)
-            if state.chained is not None:
-                factor *= state.chained()
-            return factor
-
-        return inflation
+        vm.demand_inflation = partial(self.inflation, vm.name)
 
     def managed(self) -> list[str]:
         """Managed domain names, in management order."""

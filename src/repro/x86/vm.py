@@ -27,7 +27,6 @@ class VirtualMachine:
         name: str,
         weight: int = 256,
         num_vcpus: int = 1,
-        memory_mb: int = 256,
     ):
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
@@ -39,13 +38,10 @@ class VirtualMachine:
         #: Optional utilisation cap in percent of one core (0 = uncapped),
         #: matching Xen's ``cap`` knob. Enforced by the scheduler.
         self.cap_percent = 0
-        self.memory_mb = memory_mb
-        #: Memory the guest actively touches; above the allocation it pages
-        #: (see :mod:`repro.x86.memory`). Defaults to "fits in RAM".
-        self.working_set_mb = memory_mb
         #: Optional hook returning a service-time multiplier applied to
-        #: submitted CPU demands (installed by the balloon driver to model
-        #: paging pressure).
+        #: submitted CPU demands (installed by
+        #: :class:`~repro.x86.llc.MemorySystem` to model cache and
+        #: bandwidth contention).
         self.demand_inflation = None
         self.guest = GuestKernel(sim, name)
         self.vcpus = [VCPU(self, i) for i in range(num_vcpus)]

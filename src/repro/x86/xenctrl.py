@@ -50,10 +50,6 @@ class XenCtl:
         self.tracer.emit("xenctl", "set-weight", vm=vm.name, weight=applied)
         return applied
 
-    def adjust_weight(self, vm: VirtualMachine, delta: int) -> int:
-        """Adjust a domain's weight by ``delta`` (the Tune translation)."""
-        return self.set_weight(vm, vm.weight + delta)
-
     def set_cap(self, vm: VirtualMachine, cap_percent: int) -> None:
         """Set a domain's CPU cap in percent of one core (0 = uncapped)."""
         self._charge_dom0()

@@ -1,4 +1,4 @@
-"""Fault plans: validation, immutability, and up-front randomness."""
+"""Fault plans: validation and immutability."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.faults import (
     FaultPlan,
     ManagerStall,
 )
-from repro.sim import RandomStreams, ms, seconds
+from repro.sim import ms
 
 
 class TestEventValidation:
@@ -55,51 +55,6 @@ class TestFaultPlan:
         plan = FaultPlan(events=[ChannelBlackout(start=0, duration=ms(1))])
         assert isinstance(plan.events, tuple)
         assert len(plan) == 1
-
-    def test_blackout_windows_sorted(self):
-        plan = FaultPlan((
-            ChannelBlackout(start=ms(30), duration=ms(5)),
-            AgentCrash(agent="ixp", start=ms(1)),
-            ChannelBlackout(start=ms(10), duration=ms(5)),
-        ))
-        assert plan.blackout_windows() == [(ms(10), ms(15)), (ms(30), ms(35))]
-
-    def test_random_blackouts_deterministic_per_seed(self):
-        kwargs = dict(
-            window_start=seconds(1), window_end=seconds(10),
-            count=4, mean_duration=ms(200),
-        )
-        a = FaultPlan.random_blackouts(RandomStreams(42), **kwargs)
-        b = FaultPlan.random_blackouts(RandomStreams(42), **kwargs)
-        c = FaultPlan.random_blackouts(RandomStreams(43), **kwargs)
-        assert a == b
-        assert a != c
-
-    def test_random_blackouts_inside_window_and_disjoint(self):
-        plan = FaultPlan.random_blackouts(
-            RandomStreams(7),
-            window_start=seconds(2), window_end=seconds(8),
-            count=5, mean_duration=ms(100),
-        )
-        windows = plan.blackout_windows()
-        assert windows  # at least some placements succeeded
-        for start, end in windows:
-            assert seconds(2) <= start < end <= seconds(8)
-        for (_, first_end), (second_start, _) in zip(windows, windows[1:]):
-            assert first_end <= second_start
-
-    def test_random_plan_does_not_perturb_other_streams(self):
-        """Plan generation draws only from its own named child stream."""
-        plain = RandomStreams(11)
-        with_plan = RandomStreams(11)
-        FaultPlan.random_blackouts(
-            with_plan,
-            window_start=0, window_end=seconds(5),
-            count=3, mean_duration=ms(50),
-        )
-        a = [plain.stream("workload").random() for _ in range(20)]
-        b = [with_plan.stream("workload").random() for _ in range(20)]
-        assert a == b
 
 
 class TestFaultConfig:

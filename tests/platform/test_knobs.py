@@ -9,7 +9,6 @@ Timeout sleeps.
 import pytest
 
 from repro.coordination import CoordinationAgent
-from repro.gpu import GPUIsland
 from repro.interconnect import CoordinationChannel, MessageRing, PCIeBus
 from repro.ixp import IXPIsland, IXPParams
 from repro.platform import (
@@ -23,7 +22,7 @@ from repro.platform import (
 from repro.sim import Simulator, TraceLog, Tracer, ms, us
 from repro.testbed import Testbed
 from repro.x86 import X86Island, X86Params
-from repro.x86.memory import BalloonDriver
+from repro.x86.diskio import WeightedIOScheduler
 from repro.x86.xenctrl import MAX_WEIGHT, MIN_WEIGHT
 
 
@@ -271,34 +270,17 @@ class TestUnsupportedTriggerResilience:
                                       handler_vm=x86.dom0)
         return sim, x86, ixp, ixp_agent, x86_agent
 
-    def test_trigger_to_balloon_target_does_not_crash(self):
+    def test_trigger_to_disk_weight_target_does_not_crash(self):
         sim, x86, ixp, ixp_agent, x86_agent = self._pair()
-        vm = x86.create_vm("guest", memory_mb=256)
-        x86.attach_balloon(BalloonDriver(sim, total_mb=1024))
-        x86.balloon_manage(vm)
-        ixp_agent.send_trigger(EntityId("x86", "mem:guest"), reason="mistake")
+        vm = x86.create_vm("guest")
+        x86.attach_disk(WeightedIOScheduler(sim))
+        x86.create_disk_interface(vm)
+        ixp_agent.send_trigger(EntityId("x86", "disk:guest"), reason="mistake")
         ixp_agent.send_trigger(EntityId("x86", "guest"), reason="fine")
         sim.run(until=ms(5))  # would TypeError-crash before the registry
         assert x86_agent.unsupported_triggers == 1
         assert x86_agent.triggers_applied == 1
         assert x86.knobs.unsupported_triggers == 1
-
-    def test_trigger_to_egress_queue_does_not_crash(self):
-        sim = Simulator()
-        ixp = build_ixp(sim)
-        x86 = X86Island(sim, X86Params(num_cpus=1))
-        ixp.enable_egress_qos()
-        ixp.register_egress_flow("vm-a")
-        channel = CoordinationChannel(sim, latency=us(100), a_name="x86", b_name="ixp")
-        CoordinationAgent(sim, x86, channel.endpoint("x86"), handler_vm=x86.dom0)
-        ixp_agent = CoordinationAgent(sim, ixp, channel.endpoint("ixp"))
-        x86_side = channel.endpoint("x86")
-        # x86 -> ixp: trigger the egress queue (tunable but not boostable).
-        from repro.coordination.messages import TriggerMessage
-        x86_side.send(TriggerMessage(entity=EntityId("ixp", "egress:vm-a"),
-                                     sent_at=sim.now))
-        sim.run(until=ms(5))
-        assert ixp_agent.unsupported_triggers == 1
 
     def test_unsupported_trigger_emits_trace(self):
         sim = Simulator()
@@ -306,11 +288,11 @@ class TestUnsupportedTriggerResilience:
         log = TraceLog()
         tracer.subscribe(log, kinds=["unsupported-trigger"])
         x86 = X86Island(sim, X86Params(num_cpus=1), tracer=tracer)
-        vm = x86.create_vm("guest", memory_mb=256)
-        x86.attach_balloon(BalloonDriver(sim, total_mb=1024))
-        x86.balloon_manage(vm)
+        vm = x86.create_vm("guest")
+        x86.attach_disk(WeightedIOScheduler(sim))
+        x86.create_disk_interface(vm)
         with pytest.raises(UnsupportedTriggerError):
-            x86.apply_trigger(EntityId("x86", "mem:guest"))
+            x86.apply_trigger(EntityId("x86", "disk:guest"))
         assert len(log.of_kind("unsupported-trigger")) == 1
 
 
@@ -341,14 +323,6 @@ class TestIslandKnobBounds:
         island.apply_tune(EntityId("x86", "guest"), 0)
         # No hypercall was issued, so Dom0 received no system work.
         assert not island.dom0.guest.has_work
-
-    def test_gpu_runlist_weight_floor(self):
-        sim = Simulator()
-        gpu = GPUIsland(sim)
-        context = gpu.create_context("vm", weight=5)
-        record = gpu.apply_tune(EntityId("gpu", "vm"), -100)
-        assert context.weight == 1
-        assert record.outcome == "clamped"
 
     def test_dvfs_knob_steps_the_ladder(self):
         from repro.x86.island import DVFS_LADDER
@@ -389,22 +363,23 @@ class TestControllerSnapshotAndAudit:
         assert "ixp/guest" not in x86_snap and "x86/guest" not in ixp_snap
 
     def test_testbed_snapshot_lists_every_native_knob_kind(self):
-        """A GPU island registered after the two-island Testbed is built
+        """A third island registered after the two-island Testbed is built
         joins its controller, and every island's native knob kind
         surfaces through the one typed registry."""
         tb = Testbed()
-        tb.x86.create_vm("guest", weight=256, memory_mb=512)
+        tb.x86.create_vm("guest", weight=256)
         tb.ixp.register_vm_flow("guest", service_weight=2)
-        gpu = GPUIsland(tb.sim, tracer=tb.tracer)
-        gpu.create_context("guest", weight=100)
-        tb.controller.register_island(gpu)
+        x86b = X86Island(tb.sim, X86Params(num_cpus=1), name="x86b", tracer=tb.tracer)
+        x86b.attach_disk(WeightedIOScheduler(tb.sim))
+        x86b.create_disk_interface(x86b.create_vm("guest"))
+        tb.controller.register_island(x86b)
         kinds = {
             entry["kind"]
-            for island in (tb.x86, tb.ixp, gpu)
+            for island in (tb.x86, tb.ixp, x86b)
             for entry in island.knobs.snapshot().values()
         }
         assert {
-            "credit-weight", "flow-service-weight", "runlist-weight", "dvfs-level",
+            "credit-weight", "flow-service-weight", "io-weight", "dvfs-level",
         } <= kinds
 
     def test_platform_audit_merges_and_orders(self):
@@ -451,7 +426,7 @@ class TestControllerSnapshotAndAudit:
 
         sim.spawn(actor(), name="actor")
         sim.run(until=ms(20))
-        return [r.as_dict() for r in island.knobs.audit]
+        return list(island.knobs.audit)
 
     def test_audit_log_deterministic_across_kernel_fastpath(self):
         """The audit trail (times, seqs, values) must be bit-equal whether
@@ -460,7 +435,7 @@ class TestControllerSnapshotAndAudit:
         fast = self._run_audited_scenario(int_yields=True)
         timeouts = self._run_audited_scenario(int_yields=False)
         assert fast == timeouts
-        ops = [r["op"] for r in fast]
+        ops = [r.op for r in fast]
         assert ops.count("trigger") == 2
         assert ops.count("trigger-release") == 2
 

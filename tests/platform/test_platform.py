@@ -9,7 +9,6 @@ from repro.platform import (
     Knob,
     UnknownEntityError,
     flow_id,
-    vm_id,
 )
 from repro.sim import Simulator
 
@@ -44,7 +43,6 @@ class TestEntityId:
         assert str(EntityId("x86", "web")) == "x86/web"
 
     def test_helpers(self):
-        assert vm_id("web") == EntityId("x86", "web")
         assert flow_id("q1") == EntityId("ixp", "q1")
 
 

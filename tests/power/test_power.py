@@ -6,13 +6,10 @@ from repro import Testbed, TestbedConfig
 from repro.power import (
     CoordinatedPowerCapGovernor,
     CorePowerModel,
-    DVFS_LEVELS,
     IXPPowerModel,
     LocalPowerCapGovernor,
     PowerMeter,
     PowerReportMessage,
-    next_level_down,
-    next_level_up,
 )
 from repro.platform import EntityId
 from repro.sim import Simulator, ms, seconds
@@ -39,12 +36,6 @@ class TestModels:
         model = IXPPowerModel(base_w=10.0, per_engine_w=2.0)
         assert model.power([]) == 10.0
         assert model.power([0.5, 1.0]) == 10.0 + 1.0 + 2.0
-
-    def test_dvfs_ladder_stepping(self):
-        assert next_level_down(1.0) == 0.85
-        assert next_level_down(DVFS_LEVELS[-1]) == DVFS_LEVELS[-1]  # floor
-        assert next_level_up(0.55) == 0.7
-        assert next_level_up(1.0) == 1.0  # ceiling
 
 
 class TestDvfsExecution:

@@ -1,4 +1,4 @@
-"""Tests for the simulation core: events, timeouts, conditions, the loop."""
+"""Tests for the simulation core: events, timeouts, the loop."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.sim import (
     EventAlreadyTriggeredError,
     SchedulingInPastError,
     Simulator,
-    all_of,
-    any_of,
 )
 
 
@@ -101,13 +99,6 @@ class TestEvent:
         with pytest.raises(ValueError, match="unhandled"):
             sim.run()
 
-    def test_defused_failure_does_not_propagate(self):
-        sim = Simulator()
-        event = sim.event()
-        event.fail(ValueError("handled"))
-        event.defused()
-        sim.run()  # no raise
-
     def test_value_unavailable_before_trigger(self):
         sim = Simulator()
         with pytest.raises(AttributeError):
@@ -159,61 +150,6 @@ class TestStop:
         sim.run()
         assert seen == [1]
         assert sim.now == 20
-
-
-class TestConditions:
-    def test_all_of_collects_all_values(self):
-        sim = Simulator()
-        t1, t2 = sim.timeout(5, value="x"), sim.timeout(9, value="y")
-        cond = all_of(sim, [t1, t2])
-        sim.run()
-        assert set(cond.value.values()) == {"x", "y"}
-        assert sim.now == 9
-
-    def test_any_of_fires_on_first(self):
-        sim = Simulator()
-        fast, slow = sim.timeout(3, value="fast"), sim.timeout(50, value="slow")
-        cond = any_of(sim, [fast, slow])
-        fired_at = []
-        cond.callbacks.append(lambda ev: fired_at.append(sim.now))
-        sim.run()
-        assert fired_at == [3]
-        assert fast in cond.value
-
-    def test_operators(self):
-        sim = Simulator()
-        both = sim.timeout(1) & sim.timeout(2)
-        either = sim.timeout(3) | sim.timeout(4)
-        sim.run()
-        assert both.triggered and either.triggered
-
-    def test_condition_over_already_processed_event(self):
-        sim = Simulator()
-        done = sim.timeout(1, value="v")
-        sim.run()
-        cond = all_of(sim, [done])
-        sim.run()
-        assert cond.value == {done: "v"}
-
-    def test_empty_any_of_fires(self):
-        sim = Simulator()
-        cond = any_of(sim, [])
-        sim.run()
-        assert cond.triggered
-
-    def test_failed_child_fails_condition(self):
-        sim = Simulator()
-        bad = sim.event()
-        cond = all_of(sim, [bad, sim.timeout(5)])
-        bad.fail(RuntimeError("child failed"))
-        cond.defused()
-        sim.run()
-        assert not cond.ok
-
-    def test_cross_simulator_events_rejected(self):
-        sim_a, sim_b = Simulator(), Simulator()
-        with pytest.raises(ValueError):
-            all_of(sim_a, [sim_a.timeout(1), sim_b.timeout(1)])
 
 
 class TestCallbacks:

@@ -1,9 +1,9 @@
-"""Tests for stores: FIFO semantics, capacity blocking, priority order."""
+"""Tests for stores: FIFO semantics and capacity blocking."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import PriorityItem, PriorityStore, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 class TestStoreBasics:
@@ -130,30 +130,6 @@ class TestCancelGet:
         store.put("x")
         get = store.get()
         assert store.cancel_get(get) is False
-
-
-class TestPriorityStore:
-    def test_smallest_first(self):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        for value in (5, 1, 3):
-            store.put(value)
-        gets = [store.get() for _ in range(3)]
-        sim.run()
-        assert [g.value for g in gets] == [1, 3, 5]
-
-    def test_priority_item_wrapper(self):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        store.put(PriorityItem(2, "second"))
-        store.put(PriorityItem(1, "first"))
-        get = store.get()
-        sim.run()
-        assert get.value.item == "first"
-
-    def test_priority_item_ordering(self):
-        assert PriorityItem(1, "a") < PriorityItem(2, "b")
-        assert PriorityItem(3, "x") == PriorityItem(3, "y")
 
 
 class TestStoreWithProcesses:
@@ -291,19 +267,6 @@ def test_property_store_preserves_fifo(items):
     gets = [store.get() for _ in items]
     sim.run()
     assert [g.value for g in gets] == items
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(), min_size=1, max_size=40))
-def test_property_priority_store_sorts(items):
-    """Priority store always yields ascending order."""
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for item in items:
-        store.put(item)
-    gets = [store.get() for _ in items]
-    sim.run()
-    assert [g.value for g in gets] == sorted(items)
 
 
 @settings(max_examples=30, deadline=None)

@@ -42,13 +42,6 @@ def test_adding_consumer_does_not_perturb_existing():
     assert [stream_a.random() for _ in range(3)] == baseline
 
 
-def test_fork_namespaces():
-    root = RandomStreams(42)
-    child = root.fork("sub")
-    assert child.seed != root.seed
-    assert child.stream("x").random() != root.stream("x").random()
-
-
 def test_exponential_positive_and_mean():
     stream = RandomStreams(3).stream("exp")
     samples = [stream.exponential(100.0) for _ in range(4000)]

@@ -12,7 +12,6 @@ from repro.sim import (
     seconds,
     to_ms,
     to_seconds,
-    to_us,
     us,
 )
 
@@ -30,7 +29,6 @@ class TestTimeUnits:
 
     def test_roundtrip(self):
         assert to_ms(ms(125)) == 125
-        assert to_us(us(9)) == 9
         assert to_seconds(seconds(3)) == 3
 
     def test_integer_results(self):

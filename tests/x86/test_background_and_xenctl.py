@@ -75,12 +75,6 @@ class TestXenCtl:
         assert island.xenctl.set_weight(vm, 10_000_000) == MAX_WEIGHT
         assert island.xenctl.set_weight(vm, 0) == MIN_WEIGHT
 
-    def test_adjust_weight_relative(self):
-        sim = Simulator()
-        island = X86Island(sim)
-        vm = island.create_vm("guest", weight=300)
-        assert island.xenctl.adjust_weight(vm, -100) == 200
-
     def test_operations_without_dom0_do_not_crash(self):
         sim = Simulator()
         scheduler = CreditScheduler(sim, num_cpus=1)

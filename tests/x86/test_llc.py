@@ -184,17 +184,6 @@ class TestExecutionCoupling:
         # The busy-time difference is the compute part's stretch alone.
         assert slow - fast == pytest.approx(demand * (1 / 0.5 - 1 / 1.0), rel=0.02)
 
-    def test_inflation_chains_with_existing_hook(self):
-        sim = Simulator()
-        scheduler = CreditScheduler(sim, num_cpus=1)
-        system = MemorySystem()
-        vm = VirtualMachine(sim, "vm")
-        scheduler.add_domain(vm)
-        vm.demand_inflation = lambda: 1.5  # a balloon-style pressure hook
-        system.manage(vm, MemoryProfile(mem_fraction=0.0), ways=2)
-        # Zero memory-boundness: the chained hook's factor passes through.
-        assert vm.demand_inflation() == pytest.approx(1.5)
-
 
 class TestIslandKnobs:
     def _managed_island(self):
