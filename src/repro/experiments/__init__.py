@@ -1,15 +1,9 @@
-"""Experiment drivers: one callable + renderer per paper table/figure.
+"""Experiment drivers: runners and renderers for every artefact.
 
-| Artefact | Runner | Renderer |
-|---|---|---|
-| Figure 2 | :func:`run_rubis_pair` | :func:`render_figure2` |
-| Figure 4 | :func:`run_rubis_pair` | :func:`render_figure4` |
-| Table 1  | :func:`run_rubis_pair` | :func:`render_table1` |
-| Table 2  | :func:`run_rubis_pair` | :func:`render_table2` |
-| Figure 5 | :func:`run_rubis_pair` | :func:`render_figure5` |
-| Figure 6 | :func:`run_qos_ladder` | :func:`render_figure6` |
-| Figure 7 | :func:`run_trigger_pair` | :func:`render_figure7` |
-| Table 3  | :func:`run_trigger_pair` | :func:`render_table3` |
+:data:`~repro.experiments.registry.EXPERIMENTS` is the table of
+experiments behind the CLI, ``RESULTS.txt`` and ``GOLDEN.txt``: each
+row names the runner and renderer of one experiment, and its entries
+marked ``in_all`` render the paper's Tables 1-3 and Figures 2 and 4-7.
 """
 
 from .chaos import (
@@ -26,6 +20,7 @@ from .mplayer import (
     render_figure6,
     render_figure7,
     render_table3,
+    render_trigger,
     run_qos_ladder,
     run_trigger_arm,
     run_trigger_pair,
@@ -72,7 +67,7 @@ from .power import (
     run_power_cap,
     run_power_cap_arm,
 )
-from .registry import Experiment, all_experiments, experiment, get, names, register
+from .registry import EXPERIMENTS, Experiment, get
 from .report import percent_change, render_bars, render_minmax, render_series, render_table
 from .rubis import (
     RubisPairResult,
@@ -80,6 +75,7 @@ from .rubis import (
     render_figure2,
     render_figure4,
     render_figure5,
+    render_rubis,
     render_table1,
     render_table2,
     run_rubis,
@@ -95,11 +91,10 @@ from .trace import (
 __all__ = [
     "ChaosArmResult",
     "DEFAULT_TRACE_DURATION",
+    "EXPERIMENTS",
     "Experiment",
     "chaos_config",
     "TraceRunResult",
-    "all_experiments",
-    "experiment",
     "QoSLadderResult",
     "RubisPairResult",
     "RubisRunResult",
@@ -135,8 +130,6 @@ __all__ = [
     "run_power_cap",
     "run_power_cap_arm",
     "percent_change",
-    "names",
-    "register",
     "render_bars",
     "render_chaos",
     "render_control_loops",
@@ -145,12 +138,14 @@ __all__ = [
     "render_figure5",
     "render_figure6",
     "render_figure7",
+    "render_rubis",
     "render_minmax",
     "render_series",
     "render_table",
     "render_table1",
     "render_table2",
     "render_table3",
+    "render_trigger",
     "run_chaos_arm",
     "run_chaos_sweep",
     "run_traced_rubis",

@@ -72,6 +72,8 @@ UPLINK_LATENCY = ms(10)
 GOSSIP_PERIOD = ms(50)
 #: Root tune step applied to the worst over-budget cluster's worst probe.
 ROOT_TUNE_DELTA = 128
+#: Shard count of the sharded sweeps (this one and shard-chaos).
+DEFAULT_SHARDS = 4
 
 
 def sharded_topology(num_islands: int, fanout: int = FANOUT) -> FabricTopology:
@@ -525,7 +527,7 @@ def run_fabric_sharded_arm(
 
 def run_fabric_sharded(
     island_counts=(128, 512, 2048),
-    shards: int = 4,
+    shards: int = DEFAULT_SHARDS,
     duration: int = seconds(1),
     seed: int = 1,
     workers: Optional[int] = None,

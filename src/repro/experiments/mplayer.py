@@ -244,3 +244,8 @@ def render_table3(pair: TriggerPairResult) -> str:
         rows,
         title="Table 3: MPlayer - Trigger Interference",
     )
+
+
+def render_trigger(pair: TriggerPairResult) -> str:
+    """Figure 7, then Table 3."""
+    return f"{render_figure7(pair)}\n\n{render_table3(pair)}"

@@ -227,3 +227,28 @@ def render_figure5(pair: RubisPairResult) -> str:
     return render_bars(
         items, unit="%", title="Figure 5: RUBiS CPU utilization (percent of one core)"
     )
+
+
+def render_rubis(pair: RubisPairResult) -> str:
+    """Figures 2 and 4, Tables 1 and 2 and Figure 5, then the headline
+    numbers of both arms on one ``[raw]`` line."""
+    base, coord = pair.base, pair.coord
+    raw = (
+        f"[raw] thr {base.throughput:.1f}->{coord.throughput:.1f} "
+        f"mean {base.overall.mean:.0f}->{coord.overall.mean:.0f} "
+        f"std {base.overall.std:.0f}->{coord.overall.std:.0f} "
+        f"max {base.overall.maximum:.0f}->{coord.overall.maximum:.0f} "
+        f"min {base.overall.minimum:.1f}->{coord.overall.minimum:.1f} "
+        f"util {base.total_utilization:.0f}->{coord.total_utilization:.0f} "
+        f"eff {base.efficiency:.2f}->{coord.efficiency:.2f} "
+        f"sessions {base.sessions_completed}->{coord.sessions_completed} "
+        f"sesstime {base.mean_session_time_s:.0f}->{coord.mean_session_time_s:.0f}s"
+    )
+    return "\n\n".join((
+        render_figure2(pair),
+        render_figure4(pair),
+        render_table1(pair),
+        render_table2(pair),
+        render_figure5(pair),
+        raw,
+    ))

@@ -33,6 +33,7 @@ from ..shard import FaultScript, ShardConfig, ShardPlan, run_sharded
 from ..sim import ms
 from .fabric import FANOUT
 from .fabric_sharded import (
+    DEFAULT_SHARDS,
     FabricShardWorld,
     _merge_shard_results,
     sharded_topology,
@@ -141,7 +142,7 @@ def run_shard_chaos_arm(
 
 def run_shard_chaos(
     island_counts=ISLAND_COUNTS,
-    shards: int = 4,
+    shards: int = DEFAULT_SHARDS,
     duration: int = DURATION,
     seed: int = 1,
     workers: int = 2,

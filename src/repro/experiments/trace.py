@@ -44,7 +44,8 @@ class TraceRunResult:
 def run_traced_rubis(
     duration: int = DEFAULT_TRACE_DURATION,
     seed: int = 1,
-    destination: str = "trace.json",
+    *,
+    destination: str,
     config: Optional[RubisConfig] = None,
 ) -> TraceRunResult:
     """Run one coordinated RUBiS arm with causal tracing on and export

@@ -43,10 +43,6 @@ class Packet:
         """Record that the packet passed ``stage`` at time ``now``."""
         self.stamps[stage] = now
 
-    def latency(self, from_stage: str, to_stage: str) -> int:
-        """Time spent between two recorded stages."""
-        return self.stamps[to_stage] - self.stamps[from_stage]
-
     def __repr__(self) -> str:
         return f"<Packet #{self.pid} {self.kind} {self.src}->{self.dst} {self.size}B>"
 

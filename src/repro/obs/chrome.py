@@ -135,7 +135,8 @@ def export_chrome_trace(
 
     Returns the number of trace events written. The document shape is the
     standard ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` object
-    form, which both ``chrome://tracing`` and Perfetto accept.
+    form, which both ``chrome://tracing`` and Perfetto accept; it passes
+    :func:`validate_chrome_trace` before anything is written.
     """
     events = chrome_trace_events(records)
     document = {
@@ -143,6 +144,7 @@ def export_chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {"generator": "repro.obs", **(metadata or {})},
     }
+    validate_chrome_trace(document)
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=None, separators=(",", ":"))

@@ -1,75 +1,31 @@
-"""The experiment registry and the ``trace`` CLI path (this ISSUE).
+"""The experiment table and the ``trace`` CLI path.
 
-Covers the registry contract (decorator registration, latest-wins,
-``list``/``all`` derivation), and smokes ``python -m repro trace`` plus the
-standalone ``tools/export_trace.py`` end to end: a tiny traced run must
-write Chrome-trace JSON that passes schema validation.
+Covers the table's contract (names, lookup, which experiments ``all``
+prints) and smokes ``python -m repro trace`` end to end: a tiny traced
+run must write Chrome-trace JSON that passes schema validation.
 """
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
 from repro.__main__ import main
 from repro.apps.rubis import RubisConfig
 from repro.experiments import (
-    Experiment,
-    all_experiments,
-    experiment,
+    EXPERIMENTS,
     get,
-    names,
-    register,
     render_control_loops,
     run_traced_rubis,
 )
-from repro.experiments.registry import _REGISTRY
 from repro.obs import validate_chrome_trace
 from repro.sim import ms, seconds
 from repro.testbed import TestbedConfig
 
 
-@pytest.fixture
-def scratch_registry():
-    """Snapshot the registry so test registrations don't leak."""
-    snapshot = dict(_REGISTRY)
-    yield
-    _REGISTRY.clear()
-    _REGISTRY.update(snapshot)
-
-
 class TestRegistry:
     def test_cli_experiments_registered(self):
         assert {"rubis", "mplayer-qos", "buffer-trigger", "power-cap",
-                "trace"} <= set(names())
-
-    def test_decorator_registers_and_returns_fn(self, scratch_registry):
-        @experiment("scratch", help="nothing", artefacts=("x",))
-        def cmd(args):
-            return "ran"
-
-        assert cmd(None) == "ran"  # decorator is transparent
-        entry = get("scratch")
-        assert entry.help == "nothing"
-        assert entry.artefacts == ("x",)
-        assert entry.in_all is True
-
-    def test_help_falls_back_to_docstring(self, scratch_registry):
-        @experiment("scratch")
-        def cmd(args):
-            """First line becomes help.
-
-            Not this one.
-            """
-
-        assert get("scratch").help == "First line becomes help."
-
-    def test_latest_registration_wins(self, scratch_registry):
-        register(Experiment(name="scratch", run=lambda a: "old"))
-        register(Experiment(name="scratch", run=lambda a: "new"))
-        assert get("scratch").run(None) == "new"
-        assert names().count("scratch") == 1
+                "trace"} <= {exp.name for exp in EXPERIMENTS}
 
     def test_unknown_name_raises_with_catalogue(self):
         with pytest.raises(KeyError, match="rubis"):
@@ -77,13 +33,12 @@ class TestRegistry:
 
     def test_trace_opts_out_of_all(self):
         assert get("trace").in_all is False
-        # Diagnostics (trace), fault-injection (chaos) and the scale
-        # sweeps (scalability, fabric) stay out of the artefact run;
-        # every paper artefact remains in `all`.
-        assert all(exp.in_all for exp in all_experiments()
-                   if exp.name not in ("trace", "chaos", "scalability",
-                                       "fabric", "fabric-sharded",
-                                       "shard-chaos"))
+        # `all` prints RESULTS.txt: the paper's experiments and nothing
+        # else. Diagnostics, fault injection, the extensions and the
+        # scale sweeps stay out; GOLDEN.txt pins them.
+        assert {exp.name for exp in EXPERIMENTS if exp.in_all} == {
+            "rubis", "mplayer-qos", "buffer-trigger",
+        }
 
 
 TINY = RubisConfig(
@@ -101,14 +56,14 @@ class TestTraceCommand:
         destination = tmp_path / "trace.json"
         # Shrink the captured run so the smoke stays fast.
         monkeypatch.setattr(
-            "repro.__main__.run_traced_rubis",
+            "repro.experiments.trace.run_traced_rubis",
             lambda duration, seed, destination: run_traced_rubis(
                 duration=duration, seed=seed, destination=destination,
                 config=TINY,
             ),
         )
         assert main(["trace", "--out", str(destination),
-                     "--trace-duration", "4", "--seed", "2"]) == 0
+                     "--duration", "4", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "Control-loop latency breakdown" in out
         assert "span-linked" in out
@@ -127,26 +82,3 @@ class TestTraceCommand:
             assert stage in rendered
         assert f"{result.events_written} Chrome events" in rendered
 
-
-class TestExportTraceTool:
-    def test_tool_runs_and_validates(self, tmp_path, capsys, monkeypatch):
-        tool_path = (
-            pathlib.Path(__file__).resolve().parents[2]
-            / "tools" / "export_trace.py"
-        )
-        spec = importlib.util.spec_from_file_location("export_trace", tool_path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        monkeypatch.setattr(
-            tool, "run_traced_rubis",
-            lambda duration, seed, destination: run_traced_rubis(
-                duration=duration, seed=seed, destination=destination,
-                config=TINY,
-            ),
-        )
-        destination = tmp_path / "trace.json"
-        assert tool.main(["--out", str(destination), "--duration", "4",
-                          "--seed", "2", "--validate"]) == 0
-        out = capsys.readouterr().out
-        assert "well-formed Chrome-trace JSON" in out
-        assert destination.exists()

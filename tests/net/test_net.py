@@ -21,7 +21,7 @@ class TestPacket:
         packet = Packet(src="a", dst="b", size=100)
         packet.stamp("in", 100)
         packet.stamp("out", 350)
-        assert packet.latency("in", "out") == 250
+        assert packet.stamps["out"] - packet.stamps["in"] == 250
 
 
 class TestFragment:

@@ -5,9 +5,7 @@ functions and classes, plus the methods of those classes, leaving out
 dunders. A definition counts as read when its name occurs as an
 ``ast.Name`` or ``ast.Attribute`` anywhere in ``src/``, ``tools/``,
 ``examples/``, ``benchmarks/`` or ``perfbench/``; import aliases and
-``__all__`` strings do not count. A definition decorated by a call to a
-``src/`` function (the ``@experiment(...)`` commands of ``__main__.py``)
-is registered, and that counts as read too.
+``__all__`` strings do not count.
 
 ``UNREAD_ALLOWED`` names the exceptions, each with its reason. The test
 fails on an unread definition that is not listed, and on a listed entry
@@ -110,29 +108,14 @@ def _read_names(trees):
     return names
 
 
-def _registered(node, src_functions):
-    """True when a decorator call to a ``src/`` function registers ``node``."""
-    for decorator in node.decorator_list:
-        if isinstance(decorator, ast.Call):
-            func = decorator.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in src_functions:
-                return True
-    return False
-
-
 def test_every_src_definition_has_a_reader():
     src_trees = list(_parse("src"))
     reader_trees = src_trees + [
         parsed for directory in READER_DIRS for parsed in _parse(directory)
     ]
     definitions = _src_definitions(src_trees)
-    src_functions = {node.name for node in definitions.values() if isinstance(node, _METHOD)}
     names = _read_names(reader_trees)
-    unread = {
-        key for key, node in definitions.items()
-        if node.name not in names and not _registered(node, src_functions)
-    }
+    unread = {key for key, node in definitions.items() if node.name not in names}
     unlisted = sorted(unread - UNREAD_ALLOWED.keys())
     stale = sorted(UNREAD_ALLOWED.keys() - unread)
     assert not unlisted, (
